@@ -17,7 +17,7 @@ pub struct TuStats {
 }
 
 /// Outcome of the post-substitution verification pass.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Verification {
     /// The rewritten sources re-parse successfully.
     pub sources_parse: bool,

@@ -26,6 +26,16 @@
 //! | emit    | plan key                                                   |
 //! | rewrite | per source: file hash + reachable source hashes + plan key |
 //! | verify  | closure hash + emitted artifacts + rewritten source hashes |
+//! | └ wrappers check | wrappers path + defines, validated against the wrappers TU's include closure (the parse-stage depfile rule) |
+//!
+//! A verify miss parses the substituted TU once, for the sources check,
+//! the incomplete-type check and the after-statistics alike. The wrappers
+//! check, which parses the whole expensive header, keeps a memo of its
+//! last pass: the wrappers TU's `(path, content hash)` list and the
+//! defines hash, no AST. While every recorded file (the emitted
+//! lightweight header and wrappers file included) still hashes the same,
+//! the pass is reused and `verify.wrappers_reused` counts it; a failed
+//! check is never memoized.
 //!
 //! Before building the DAG, a *warm pre-pass* walks the key chain with
 //! cheap hashing only ([`yalla_cpp::cache::ParseCache::probe`], then slot
@@ -72,7 +82,7 @@ use crate::persist;
 use crate::plan::{Diagnostic, DiagnosticKind, Plan};
 use crate::report::{Report, TuStats, Verification};
 use crate::rewrite::{rewrite_file, Transformer};
-use crate::verify::verify;
+use crate::verify::{check_user_tu, VerifyInputs, WrappersMemo};
 
 /// The engine's pipeline stages, in dependency order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -439,6 +449,7 @@ pub struct Session {
     emit: Arc<SharedSlot<EmitArtifact>>,
     rewrites: Arc<Mutex<HashMap<String, Slot<Arc<String>>>>>,
     verify: Arc<SharedSlot<VerifyArtifact>>,
+    wrappers_memo: Arc<Mutex<Option<WrappersMemo>>>,
     store: Option<Arc<Store>>,
     reruns: u64,
 }
@@ -464,6 +475,7 @@ impl Session {
             emit: Arc::new(Mutex::new(None)),
             rewrites: Arc::new(Mutex::new(HashMap::new())),
             verify: Arc::new(Mutex::new(None)),
+            wrappers_memo: Arc::new(Mutex::new(None)),
             store,
             reruns: 0,
         }
@@ -1017,7 +1029,7 @@ impl Session {
                     Arc::clone(&verify_cell),
                     Arc::clone(&log),
                 );
-                let cancel = cancel.clone();
+                let (memo, cancel) = (Arc::clone(&self.wrappers_memo), cancel.clone());
                 dag.node("verify", &verify_deps, move || {
                     if cancel.checkpoint() {
                         return Err(YallaError::Cancelled);
@@ -1039,7 +1051,9 @@ impl Session {
                     let key = verify_key_of(closure_hash, *plan_key, &opts, emit_art, &rewritten);
                     let span = yalla_obs::span("engine", "verify");
                     let (artifact, lookup) = refresh(&slot, key, || {
-                        Ok(stage_verify(&vfs, &rewritten, emit_art, &opts, &main))
+                        Ok(stage_verify(
+                            &vfs, &rewritten, emit_art, &opts, &main, &memo,
+                        ))
                     })?;
                     let dur = span.finish();
                     note(Stage::Verify, lookup, true);
@@ -1364,48 +1378,71 @@ fn stage_rewrite_one(
     )
 }
 
-/// The verify stage: parses the substituted program, checks the
-/// incomplete-type rules, and gathers the after-substitution TU stats.
+/// The verify stage. One parse of the substituted TU feeds the sources
+/// check, the incomplete-type check and the after-statistics; the
+/// wrappers check is reused while `memo` still validates.
 fn stage_verify(
     vfs: &Vfs,
     rewritten: &BTreeMap<String, Arc<String>>,
     emit_art: &EmitArtifact,
     opts: &Options,
     main_source: &str,
+    memo: &Mutex<Option<WrappersMemo>>,
 ) -> VerifyArtifact {
-    let owned: BTreeMap<String, String> = rewritten
-        .iter()
-        .map(|(path, text)| (path.clone(), (**text).clone()))
-        .collect();
-    let verification = if opts.verify {
-        verify(
-            vfs,
-            &owned,
-            &opts.lightweight_name,
-            &emit_art.lightweight,
-            &opts.wrappers_name,
-            &emit_art.wrappers,
-            main_source,
-        )
-    } else {
-        Verification::default()
+    let inputs = VerifyInputs {
+        original_vfs: vfs,
+        lightweight_name: &opts.lightweight_name,
+        lightweight: &emit_art.lightweight,
+        wrappers_name: &opts.wrappers_name,
+        wrappers: &emit_art.wrappers,
+        defines: &opts.defines,
     };
-    // After-stats: preprocess the substituted TU.
-    let mut after_vfs = vfs.clone();
-    for (path, text) in &owned {
-        after_vfs.add_file(path, text.clone());
-    }
-    after_vfs.add_file(&opts.lightweight_name, emit_art.lightweight.clone());
-    let fe = yalla_cpp::Frontend::new(after_vfs);
-    let after = fe
-        .parse_translation_unit(main_source)
-        .ok()
-        .map(|after| TuStats {
-            loc: after.stats.lines_compiled,
-            headers: after.stats.header_count(),
+    let (sources, after) = {
+        let user_tu = inputs
+            .parse_user_tu(
+                rewritten
+                    .iter()
+                    .map(|(path, text)| (path.as_str(), text.as_str())),
+                main_source,
+            )
+            .ok();
+        let after = user_tu.as_ref().map(|tu| TuStats {
+            loc: tu.stats.lines_compiled,
+            headers: tu.stats.header_count(),
         });
+        (opts.verify.then(|| check_user_tu(user_tu.as_ref())), after)
+    };
+    let verification = match sources {
+        Some(sources) => Verification {
+            wrappers_parse: wrappers_check(&inputs, memo),
+            ..sources
+        },
+        None => Verification::default(),
+    };
     VerifyArtifact {
         verification,
         after,
+    }
+}
+
+/// Check 3 through the session's memo. Only a passing check is memoized,
+/// and only once its parse has completed, so a failure re-parses next
+/// time — like [`ParseCache`] errors, which are never cached.
+fn wrappers_check(inputs: &VerifyInputs<'_>, memo: &Mutex<Option<WrappersMemo>>) -> bool {
+    let reused = memo
+        .lock()
+        .expect("wrappers memo lock")
+        .as_ref()
+        .is_some_and(|m| inputs.reuses(m));
+    if reused {
+        yalla_obs::count(yalla_obs::metrics::names::VERIFY_WRAPPERS_REUSED, 1);
+        return true;
+    }
+    match inputs.check_wrappers() {
+        Some(fresh) => {
+            *memo.lock().expect("wrappers memo lock") = Some(fresh);
+            true
+        }
+        None => false,
     }
 }

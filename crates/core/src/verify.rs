@@ -11,18 +11,146 @@
 //!    compiler's semantic analysis would reject),
 //! 3. parses the generated wrappers file against the *original* expensive
 //!    header (the wrapper compile of Figure 6 step ③).
+//!
+//! Checks 1 and 2 share one parse (`VerifyInputs::parse_user_tu`), which
+//! also yields the after-substitution statistics. Check 3
+//! (`VerifyInputs::check_wrappers`) preprocesses the whole expensive
+//! header; a passing check leaves a `WrappersMemo` (the wrappers TU's
+//! depfile), and a later check whose inputs still match it
+//! (`VerifyInputs::reuses`) has the same verdict without a parse.
 
 use std::collections::{BTreeMap, HashSet};
 
 use yalla_analysis::incomplete::check_incomplete_rules;
 use yalla_analysis::symbols::{SymbolKind, SymbolTable};
-use yalla_cpp::frontend::Frontend;
-use yalla_cpp::vfs::Vfs;
+use yalla_cpp::cache::{depfile, depfile_valid};
+use yalla_cpp::frontend::{Frontend, ParsedTu};
+use yalla_cpp::hash;
+use yalla_cpp::vfs::{self, Vfs};
 
-use crate::plan::Plan;
 use crate::report::Verification;
 
-/// Runs the verification pass.
+/// What every check reads: the pre-substitution file tree, the generated
+/// artifacts, and the predefined macros (`-D`) the run preprocesses with.
+#[derive(Debug)]
+pub(crate) struct VerifyInputs<'a> {
+    /// The pre-substitution file system.
+    pub original_vfs: &'a Vfs,
+    /// File name of the generated lightweight header.
+    pub lightweight_name: &'a str,
+    /// The generated lightweight header.
+    pub lightweight: &'a str,
+    /// File name of the generated wrappers file.
+    pub wrappers_name: &'a str,
+    /// The generated wrappers file.
+    pub wrappers: &'a str,
+    /// Predefined macros applied to both parses.
+    pub defines: &'a [(String, String)],
+}
+
+/// A passing wrappers check, reduced to what proves it still passes: the
+/// wrappers TU's depfile and the defines it was preprocessed with. It
+/// holds paths and hashes only, never an AST.
+#[derive(Debug)]
+pub(crate) struct WrappersMemo {
+    wrappers_name: String,
+    defines_hash: u64,
+    deps: Vec<(String, u64)>,
+}
+
+impl VerifyInputs<'_> {
+    /// The parse behind checks 1 and 2: the substituted user TU rooted at
+    /// `main_source`, i.e. the original tree with the `rewritten`
+    /// `(path, text)` sources and the lightweight header overlaid.
+    ///
+    /// # Errors
+    ///
+    /// Propagates preprocessing and parsing failures (check 1 failing).
+    pub(crate) fn parse_user_tu<'s>(
+        &self,
+        rewritten: impl IntoIterator<Item = (&'s str, &'s str)>,
+        main_source: &str,
+    ) -> yalla_cpp::Result<ParsedTu> {
+        let mut user_vfs = self.original_vfs.clone();
+        for (path, text) in rewritten {
+            user_vfs.add_file(path, text);
+        }
+        user_vfs.add_file(self.lightweight_name, self.lightweight);
+        Frontend::with_defines(user_vfs, self.defines).parse_translation_unit(main_source)
+    }
+
+    /// Check 3: parses the wrappers file against the real header. Returns
+    /// the memo of a passing check, `None` when the parse fails.
+    pub(crate) fn check_wrappers(&self) -> Option<WrappersMemo> {
+        let mut wrap_vfs = self.original_vfs.clone();
+        wrap_vfs.add_file(self.lightweight_name, self.lightweight);
+        wrap_vfs.add_file(self.wrappers_name, self.wrappers);
+        let fe = Frontend::with_defines(wrap_vfs, self.defines);
+        let tu = fe.parse_translation_unit(self.wrappers_name).ok()?;
+        Some(WrappersMemo {
+            wrappers_name: self.wrappers_name.to_string(),
+            defines_hash: hash::hash_defines(self.defines),
+            deps: depfile(fe.vfs(), &tu),
+        })
+    }
+
+    /// True when [`VerifyInputs::check_wrappers`] would parse exactly what
+    /// `memo`'s check parsed, so its passing verdict carries over: the
+    /// same wrappers file and defines, and every file that entered the
+    /// wrappers TU still has its recorded hash. This is the
+    /// [`yalla_cpp::cache::ParseCache`] depfile rule, with the generated
+    /// artifacts hashed from the texts about to be checked.
+    pub(crate) fn reuses(&self, memo: &WrappersMemo) -> bool {
+        if memo.wrappers_name != self.wrappers_name
+            || memo.defines_hash != hash::hash_defines(self.defines)
+        {
+            return false;
+        }
+        // Overlaid as in `check_wrappers`: the wrappers file wins a clash.
+        let overlay = [
+            (
+                vfs::normalize(self.wrappers_name),
+                hash::hash_str(self.wrappers),
+            ),
+            (
+                vfs::normalize(self.lightweight_name),
+                hash::hash_str(self.lightweight),
+            ),
+        ];
+        depfile_valid(&memo.deps, |path| {
+            overlay
+                .iter()
+                .find(|(name, _)| name == path)
+                .map(|(_, h)| *h)
+                .or_else(|| self.original_vfs.hash_of(path))
+        })
+    }
+}
+
+/// Checks 1 and 2 over the substituted user TU (`None` when it failed to
+/// parse). `wrappers_parse` is left for check 3 to set.
+pub(crate) fn check_user_tu(tu: Option<&ParsedTu>) -> Verification {
+    let Some(tu) = tu else {
+        return Verification::default();
+    };
+    // Forward-declared-only classes are the incomplete set.
+    let table = SymbolTable::build(&tu.ast);
+    let incomplete: HashSet<String> = table
+        .iter()
+        .filter_map(|s| match &s.kind {
+            SymbolKind::Class(c) if !c.is_definition => Some(s.key.clone()),
+            _ => None,
+        })
+        .collect();
+    Verification {
+        sources_parse: true,
+        wrappers_parse: false,
+        violations: check_incomplete_rules(&tu.ast, &incomplete, &table),
+    }
+}
+
+/// Runs the verification pass without predefined macros: checks 1 and 2
+/// over one parse of the substituted TU, then check 3.
 ///
 /// `original_vfs` is the pre-substitution file system; `rewritten` maps
 /// source paths to their rewritten text; `lightweight` and `wrappers` are
@@ -36,64 +164,25 @@ pub fn verify(
     wrappers: &str,
     main_source: &str,
 ) -> Verification {
-    let mut v = Verification::default();
-
-    // --- 1+2: the substituted user TU ----------------------------------
-    let mut user_vfs = original_vfs.clone();
-    for (path, text) in rewritten {
-        user_vfs.add_file(path, text.clone());
-    }
-    user_vfs.add_file(lightweight_name, lightweight);
-    let fe = Frontend::new(user_vfs);
-    match fe.parse_translation_unit(main_source) {
-        Ok(tu) => {
-            v.sources_parse = true;
-            // Forward-declared-only classes are the incomplete set.
-            let table = SymbolTable::build(&tu.ast);
-            let incomplete: HashSet<String> = table
-                .iter()
-                .filter_map(|s| match &s.kind {
-                    SymbolKind::Class(c) if !c.is_definition => Some(s.key.clone()),
-                    _ => None,
-                })
-                .collect();
-            v.violations = check_incomplete_rules(&tu.ast, &incomplete, &table);
-        }
-        Err(_) => {
-            v.sources_parse = false;
-        }
-    }
-
-    // --- 3: the wrappers TU against the real header ----------------------
-    let mut wrap_vfs = original_vfs.clone();
-    wrap_vfs.add_file(lightweight_name, lightweight);
-    wrap_vfs.add_file(wrappers_name, wrappers);
-    let fe = Frontend::new(wrap_vfs);
-    v.wrappers_parse = fe.parse_translation_unit(wrappers_name).is_ok();
-
-    v
-}
-
-/// Convenience: verify directly from a [`Plan`]'s artifacts (used by
-/// tests; the engine calls [`verify`]).
-pub fn verify_plan_artifacts(
-    original_vfs: &Vfs,
-    plan: &Plan,
-    rewritten: &BTreeMap<String, String>,
-    header_name: &str,
-    main_source: &str,
-) -> Verification {
-    let lw = crate::emit::lightweight_header(plan, header_name);
-    let wf = crate::emit::wrappers_file(plan, header_name, crate::emit::LIGHTWEIGHT_HEADER_NAME);
-    verify(
+    let inputs = VerifyInputs {
         original_vfs,
-        rewritten,
-        crate::emit::LIGHTWEIGHT_HEADER_NAME,
-        &lw,
-        crate::emit::WRAPPERS_FILE_NAME,
-        &wf,
+        lightweight_name,
+        lightweight,
+        wrappers_name,
+        wrappers,
+        defines: &[],
+    };
+    let user_tu = inputs.parse_user_tu(
+        rewritten
+            .iter()
+            .map(|(path, text)| (path.as_str(), text.as_str())),
         main_source,
-    )
+    );
+    let sources = check_user_tu(user_tu.ok().as_ref());
+    Verification {
+        wrappers_parse: inputs.check_wrappers().is_some(),
+        ..sources
+    }
 }
 
 #[cfg(test)]
@@ -153,6 +242,69 @@ mod tests {
         );
         assert!(!v.sources_parse);
         assert!(!v.passed());
+    }
+
+    fn big_lib_vfs() -> Vfs {
+        let mut vfs = Vfs::new();
+        vfs.add_file(
+            "lib.hpp",
+            "#pragma once\n#ifdef WITH_BIG\nnamespace L { class Big { public: int id(); }; }\n\
+             #else\n#error WITH_BIG required\n#endif\n",
+        );
+        vfs.add_file("other.hpp", "#pragma once\nint unrelated;\n");
+        vfs
+    }
+
+    fn big_inputs<'a>(vfs: &'a Vfs, defines: &'a [(String, String)]) -> VerifyInputs<'a> {
+        VerifyInputs {
+            original_vfs: vfs,
+            lightweight_name: "lw.hpp",
+            lightweight: "#pragma once\nnamespace L { class Big; }\n",
+            wrappers_name: "w.cpp",
+            wrappers: "#include <lib.hpp>\n#include \"lw.hpp\"\n",
+            defines,
+        }
+    }
+
+    #[test]
+    fn wrappers_check_honours_defines() {
+        let vfs = big_lib_vfs();
+        let defines = [("WITH_BIG".to_string(), "1".to_string())];
+        assert!(big_inputs(&vfs, &defines).check_wrappers().is_some());
+        assert!(big_inputs(&vfs, &[]).check_wrappers().is_none());
+    }
+
+    #[test]
+    fn wrappers_memo_is_reused_only_under_its_depfile_and_defines() {
+        let mut vfs = big_lib_vfs();
+        let defines = [("WITH_BIG".to_string(), "1".to_string())];
+        let inputs = big_inputs(&vfs, &defines);
+        let memo = inputs.check_wrappers().expect("passes");
+        assert!(inputs.reuses(&memo));
+        // Files outside the wrappers closure do not matter.
+        vfs.add_file("other.hpp", "#pragma once\nint changed;\n");
+        assert!(big_inputs(&vfs, &defines).reuses(&memo));
+        // A different define set, emitted text, or file name misses.
+        let other = [("WITH_BIG".to_string(), "2".to_string())];
+        assert!(!big_inputs(&vfs, &other).reuses(&memo));
+        let lw = VerifyInputs {
+            lightweight: "#pragma once\nnamespace L { class Big; class Small; }\n",
+            ..big_inputs(&vfs, &defines)
+        };
+        assert!(!lw.reuses(&memo));
+        let wrappers = VerifyInputs {
+            wrappers: "#include <lib.hpp>\n#include \"lw.hpp\"\nint pad;\n",
+            ..big_inputs(&vfs, &defines)
+        };
+        assert!(!wrappers.reuses(&memo));
+        let renamed = VerifyInputs {
+            wrappers_name: "w2.cpp",
+            ..big_inputs(&vfs, &defines)
+        };
+        assert!(!renamed.reuses(&memo));
+        // So does an edit to the header inside the closure.
+        vfs.add_file("lib.hpp", "#pragma once\n#define WITH_BIG_SEEN 1\n");
+        assert!(!big_inputs(&vfs, &defines).reuses(&memo));
     }
 
     #[test]

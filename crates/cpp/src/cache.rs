@@ -177,6 +177,25 @@ impl CacheLookup {
     }
 }
 
+/// The depfile of a parse of `tu` over `vfs`: `(path, content hash)` of
+/// every file that entered it, main file first. This is what
+/// [`ParseCache`] records per entry and persists as the on-disk manifest.
+pub fn depfile(vfs: &Vfs, tu: &ParsedTu) -> Vec<(String, u64)> {
+    tu.stats
+        .files_entered
+        .iter()
+        .map(|&file| (vfs.path(file).to_string(), vfs.file_hash(file)))
+        .collect()
+}
+
+/// The depfile rule: a recorded parse still describes the current inputs
+/// iff every file in `deps` still has its recorded content hash under
+/// `hash_of` (a file `hash_of` cannot find invalidates). Whatever the
+/// parse produced — an AST, or only a verdict — can then be reused.
+pub fn depfile_valid(deps: &[(String, u64)], hash_of: impl Fn(&str) -> Option<u64>) -> bool {
+    deps.iter().all(|(dep, h)| hash_of(dep) == Some(*h))
+}
+
 /// A successfully validated (or freshly computed) cached parse.
 #[derive(Debug, Clone)]
 pub struct CachedParse {
@@ -452,12 +471,9 @@ impl ParseCache {
         tick: u64,
     ) -> Option<CachedParse> {
         let versions = entries.get_mut(key)?;
-        let valid = versions.iter().position(|entry| {
-            entry
-                .deps
-                .iter()
-                .all(|(dep, h)| vfs.hash_of(dep) == Some(*h))
-        })?;
+        let valid = versions
+            .iter()
+            .position(|entry| depfile_valid(&entry.deps, |dep| vfs.hash_of(dep)))?;
         // Most-recently-used first, so the history evicts the version
         // least likely to come back.
         let mut entry = versions.remove(valid);
@@ -501,22 +517,16 @@ impl ParseCache {
             yalla_obs::count(yalla_obs::metrics::names::CACHE_INVALIDATIONS, 1);
         }
 
-        let mut fe = Frontend::new(vfs.clone());
-        for (k, v) in defines {
-            fe.define(k, v);
-        }
+        let fe = Frontend::with_defines(vfs.clone(), defines);
         let tu = Arc::new(fe.parse_translation_unit(path)?);
 
-        let mut deps = Vec::with_capacity(tu.stats.files_entered.len());
+        let deps = depfile(vfs, &tu);
         let mut closure = Fnv64::new();
         closure.write_str(path);
         closure.write_u64(key.1);
-        for &file in &tu.stats.files_entered {
-            let dep_path = vfs.path(file).to_string();
-            let dep_hash = vfs.file_hash(file);
-            closure.write_str(&dep_path);
-            closure.write_u64(dep_hash);
-            deps.push((dep_path, dep_hash));
+        for (dep_path, dep_hash) in &deps {
+            closure.write_str(dep_path);
+            closure.write_u64(*dep_hash);
         }
         let closure_hash = closure.finish();
         self.persist_manifest(&key, vfs.hash_of(path), &deps, closure_hash);

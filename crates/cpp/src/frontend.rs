@@ -45,6 +45,15 @@ impl Frontend {
         }
     }
 
+    /// Creates a frontend over `vfs` with `defines` predefined, as
+    /// [`Frontend::define`] would add them one by one.
+    pub fn with_defines(vfs: Vfs, defines: &[(String, String)]) -> Self {
+        Frontend {
+            vfs,
+            defines: defines.to_vec(),
+        }
+    }
+
     /// Access to the underlying file system.
     pub fn vfs(&self) -> &Vfs {
         &self.vfs

@@ -49,7 +49,9 @@ pub struct Vfs {
     search_paths: Vec<String>,
 }
 
-fn normalize(path: &str) -> String {
+/// The normalized form under which [`Vfs::add_file`] registers `path`
+/// (`.` segments and empty segments dropped, `..` resolved).
+pub fn normalize(path: &str) -> String {
     let mut out: Vec<&str> = Vec::new();
     for seg in path.split('/') {
         match seg {

@@ -6,8 +6,9 @@
 //! functions, identical-content touches, driver edits outside the
 //! engine's input set), and after every edit asserts that the warm
 //! rerun's artifacts are byte-identical to a cold engine run over the
-//! same file state. Any difference means a cache key failed to capture
-//! an input.
+//! same file state, and that its verification verdict and before/after
+//! statistics are equal to the cold run's. Any difference means a cache
+//! key failed to capture an input.
 //!
 //! With a store dir attached, every step additionally simulates a
 //! process restart: a *fresh* session (fresh [`Store`] handle, empty
@@ -18,7 +19,7 @@
 use std::path::Path;
 use std::sync::Arc;
 
-use yalla_core::{Engine, Session};
+use yalla_core::{Engine, Session, SubstitutionResult};
 use yalla_corpus::gen::DetRng;
 use yalla_store::Store;
 
@@ -143,26 +144,11 @@ pub fn run_session_case_with_store(
             .run(session.vfs())
             .map_err(|e| format!("cold comparison run: {e}"))?;
 
-        let warm_r = &warm.result;
-        if warm_r.lightweight_header != cold.lightweight_header {
+        for artifact in differing_outputs(&warm.result, &cold) {
             report.mismatches.push(SessionMismatch {
                 step,
                 edit: description.clone(),
-                artifact: "lightweight_header".to_string(),
-            });
-        }
-        if warm_r.wrappers_file != cold.wrappers_file {
-            report.mismatches.push(SessionMismatch {
-                step,
-                edit: description.clone(),
-                artifact: "wrappers_file".to_string(),
-            });
-        }
-        if warm_r.rewritten_sources != cold.rewritten_sources {
-            report.mismatches.push(SessionMismatch {
-                step,
-                edit: description.clone(),
-                artifact: "rewritten_sources".to_string(),
+                artifact: artifact.to_string(),
             });
         }
 
@@ -177,29 +163,40 @@ pub fn run_session_case_with_store(
                 Session::with_store(options.clone(), session.vfs().clone(), Some(restart_store))
                     .rerun()
                     .map_err(|e| format!("disk-warm rerun: {e}"))?;
-            let r = &restart.result;
-            for (artifact, differs) in [
-                (
-                    "disk:lightweight_header",
-                    r.lightweight_header != cold.lightweight_header,
-                ),
-                ("disk:wrappers_file", r.wrappers_file != cold.wrappers_file),
-                (
-                    "disk:rewritten_sources",
-                    r.rewritten_sources != cold.rewritten_sources,
-                ),
-            ] {
-                if differs {
-                    report.mismatches.push(SessionMismatch {
-                        step,
-                        edit: description.clone(),
-                        artifact: artifact.to_string(),
-                    });
-                }
+            for artifact in differing_outputs(&restart.result, &cold) {
+                report.mismatches.push(SessionMismatch {
+                    step,
+                    edit: description.clone(),
+                    artifact: format!("disk:{artifact}"),
+                });
             }
         }
     }
     Ok(report)
+}
+
+/// The outputs in which a warm run differs from the cold oracle: the
+/// three artifacts, plus the verdict and the before/after statistics, so
+/// a stale cached verification cannot go unnoticed.
+fn differing_outputs(warm: &SubstitutionResult, cold: &SubstitutionResult) -> Vec<&'static str> {
+    let (w, c) = (&warm.report, &cold.report);
+    [
+        (
+            "lightweight_header",
+            warm.lightweight_header != cold.lightweight_header,
+        ),
+        ("wrappers_file", warm.wrappers_file != cold.wrappers_file),
+        (
+            "rewritten_sources",
+            warm.rewritten_sources != cold.rewritten_sources,
+        ),
+        ("verification", w.verification != c.verification),
+        ("before", w.before != c.before),
+        ("after", w.after != c.after),
+    ]
+    .into_iter()
+    .filter_map(|(artifact, differs)| differs.then_some(artifact))
+    .collect()
 }
 
 fn apply_edit(

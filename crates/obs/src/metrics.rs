@@ -53,6 +53,10 @@ pub mod names {
     /// Translation units actually re-parsed by session reruns (parse-stage
     /// cache misses; 0 on a fully warm rerun).
     pub const SESSION_TUS_REPARSED: &str = "session.tus_reparsed";
+    /// Verify-stage wrappers checks answered from the session's memo:
+    /// the wrappers TU's include closure was byte-identical to the last
+    /// passing check, so the expensive header was not parsed again.
+    pub const VERIFY_WRAPPERS_REUSED: &str = "verify.wrappers_reused";
     /// Simulated dev-cycle iterations assembled.
     pub const SIM_ITERATIONS: &str = "sim.iterations";
     /// Tasks executed by yalla-exec worker threads.
@@ -178,6 +182,7 @@ pub mod names {
             CACHE_BYTES_RESIDENT,
             SESSION_RERUNS,
             SESSION_TUS_REPARSED,
+            VERIFY_WRAPPERS_REUSED,
             SIM_ITERATIONS,
             EXEC_TASKS_EXECUTED,
             EXEC_TASKS_STOLEN,

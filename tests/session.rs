@@ -1,162 +1,14 @@
 //! End-to-end tests of the incremental session layer: cache invalidation
-//! granularity, the §6 "no re-run needed" steady state, and the
-//! zero-reparse guarantee of no-op reruns.
+//! granularity and the §6 "no re-run needed" steady state. Tests that
+//! assert on process-global counters live in `session_counters.rs`.
 
-use std::sync::Mutex;
-use std::time::Duration;
+mod common;
 
 use proptest::prelude::*;
 use yalla::core::{CacheLookup, Stage};
-use yalla::{Options, Session, Vfs};
+use yalla::{Engine, Options, Session, Vfs};
 
-/// The global profiler's counters are process-wide; tests that assert on
-/// counter deltas serialize behind this lock.
-static COUNTER_LOCK: Mutex<()> = Mutex::new(());
-
-/// The Figure 3 Kokkos-style fixture (same shape as the engine tests).
-fn kokkos_vfs() -> Vfs {
-    let mut vfs = Vfs::new();
-    vfs.add_file(
-        "Kokkos_Core.hpp",
-        r#"
-#pragma once
-#include <Kokkos_Impl.hpp>
-namespace Kokkos {
-  class OpenMP;
-  class LayoutRight {};
-  template<class D, class L> class View {
-  public:
-    View();
-    int& operator()(int i, int j);
-    int extent(int d) const;
-  };
-  template<class S> class TeamPolicy {
-  public:
-    using member_type = Impl::HostThreadTeamMember<S>;
-  };
-  template<class M> Impl::TeamThreadRangeBoundariesStruct TeamThreadRange(M& m, int n);
-  template<class R, class F> void parallel_for(R range, F functor);
-  template<class T> T clamp_index(T v);
-}
-"#,
-    );
-    vfs.add_file(
-        "Kokkos_Impl.hpp",
-        r#"
-#pragma once
-namespace Kokkos { namespace Impl {
-  struct TeamThreadRangeBoundariesStruct { int lo; int hi; };
-  template<class P> class HostThreadTeamMember {
-  public:
-    int league_rank() const;
-  };
-} }
-"#,
-    );
-    vfs.add_file(
-        "functor.hpp",
-        r#"#pragma once
-#include <Kokkos_Core.hpp>
-using sp_t = Kokkos::OpenMP;
-using member_t = Kokkos::TeamPolicy<sp_t>::member_type;
-struct add_y {
-  int y;
-  Kokkos::View<int**, Kokkos::LayoutRight> x;
-  void operator()(member_t &m);
-};
-"#,
-    );
-    vfs.add_file(
-        "kernel.cpp",
-        r#"#include "functor.hpp"
-void add_y::operator()(member_t &m) {
-  int j = m.league_rank();
-  Kokkos::parallel_for(
-    Kokkos::TeamThreadRange(m, 5),
-    [&](int i) { x(j, i) += y; });
-}
-"#,
-    );
-    vfs
-}
-
-fn kokkos_options() -> Options {
-    Options {
-        header: "Kokkos_Core.hpp".into(),
-        sources: vec!["kernel.cpp".into(), "functor.hpp".into()],
-        ..Options::default()
-    }
-}
-
-fn kokkos_session() -> Session {
-    Session::new(kokkos_options(), kokkos_vfs())
-}
-
-fn counter(name: &str) -> i64 {
-    yalla::obs::global().metrics().counter(name).get()
-}
-
-/// Appends `extra` (plus a newline) to `path` in the session's file tree.
-fn append(session: &mut Session, path: &str, extra: &str) {
-    let id = session.vfs().lookup(path).expect("file exists");
-    let new_text = format!("{}{extra}\n", session.vfs().text(id));
-    session.apply_edit(path, new_text).expect("edit applies");
-}
-
-#[test]
-fn noop_rerun_is_fully_cached_with_zero_reparses() {
-    let _guard = COUNTER_LOCK.lock().unwrap();
-    use yalla::obs::metrics::names;
-
-    let mut session = kokkos_session();
-    let cold = session.rerun().unwrap();
-    assert!(!cold.fully_cached());
-    assert_eq!(cold.files_reparsed, 1);
-    assert_eq!(cold.rewrites_recomputed, 2);
-
-    // Zero re-parses, asserted through the observability counters: not a
-    // single file may enter the preprocessor during a warm no-op rerun.
-    let files_before = counter(names::FILES_PREPROCESSED);
-    let parse_hits_before = counter(&names::stage_cache("parse", "hits"));
-    let reparsed_before = counter(names::SESSION_TUS_REPARSED);
-    let warm = session.rerun().unwrap();
-    assert_eq!(
-        counter(names::FILES_PREPROCESSED),
-        files_before,
-        "a warm no-op rerun must not preprocess any file"
-    );
-    assert_eq!(
-        counter(&names::stage_cache("parse", "hits")),
-        parse_hits_before + 1
-    );
-    assert_eq!(counter(names::SESSION_TUS_REPARSED), reparsed_before);
-
-    assert!(warm.fully_cached());
-    assert_eq!(warm.files_reparsed, 0);
-    assert_eq!(warm.rewrites_recomputed, 0);
-    assert_eq!(warm.rewrites_cached, 2);
-    for stage in [
-        Stage::Parse,
-        Stage::Analyze,
-        Stage::Plan,
-        Stage::Emit,
-        Stage::Rewrite,
-        Stage::Verify,
-    ] {
-        assert_eq!(warm.outcome(stage), CacheLookup::Hit, "{stage}");
-    }
-    // Cached stages report zero duration, never a stale measurement.
-    assert_eq!(warm.result.timings.total(), Duration::ZERO);
-    assert!(cold.result.timings.total() > Duration::ZERO);
-
-    // The artifacts are byte-identical to the cold run's.
-    assert_eq!(
-        cold.result.lightweight_header,
-        warm.result.lightweight_header
-    );
-    assert_eq!(cold.result.wrappers_file, warm.result.wrappers_file);
-    assert_eq!(cold.result.rewritten_sources, warm.result.rewritten_sources);
-}
+use common::{append, kokkos_options, kokkos_session, kokkos_vfs};
 
 #[test]
 fn editing_one_source_reparses_one_tu_and_keeps_the_plan() {
@@ -283,6 +135,32 @@ fn all_missing_sources_are_reported_in_one_error() {
         msg.contains("missing_a.cpp") && msg.contains("missing_b.cpp"),
         "{msg}"
     );
+}
+
+#[test]
+fn verification_preprocesses_with_the_run_defines() {
+    // The header only compiles with `WITH_BIG` set, which the run passes
+    // as a `-D`: every verify parse must see it, like the parse stage.
+    let mut vfs = Vfs::new();
+    vfs.add_file(
+        "lib.hpp",
+        "#pragma once\n#ifdef WITH_BIG\nnamespace L { class Big { public: int id(); }; }\n\
+         #else\n#error WITH_BIG required\n#endif\n",
+    );
+    vfs.add_file(
+        "main.cpp",
+        "#include <lib.hpp>\nint f(L::Big& b) { return b.id(); }\n",
+    );
+    let options = Options {
+        header: "lib.hpp".into(),
+        sources: vec!["main.cpp".into()],
+        defines: vec![("WITH_BIG".into(), "1".into())],
+        ..Options::default()
+    };
+    let result = Engine::new(options).run(&vfs).unwrap();
+    let v = &result.report.verification;
+    assert!(v.sources_parse && v.wrappers_parse, "{v:?}");
+    assert!(v.passed());
 }
 
 #[test]

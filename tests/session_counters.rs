@@ -1,0 +1,207 @@
+//! Session tests that assert exact deltas of the process-global counters.
+//!
+//! They live in their own test binary so that no test outside
+//! [`COUNTER_LOCK`] can bump the same counters concurrently: every test
+//! here holds the lock for its whole body.
+
+mod common;
+
+use std::sync::Mutex;
+use std::time::Duration;
+
+use yalla::core::{CacheLookup, Stage};
+use yalla::obs::metrics::names;
+use yalla::{Engine, Options, Session};
+
+use common::{append, kokkos_options, kokkos_session, kokkos_vfs};
+
+/// The global profiler's counters are process-wide; every test in this
+/// binary serializes behind this lock.
+static COUNTER_LOCK: Mutex<()> = Mutex::new(());
+
+fn counter(name: &str) -> i64 {
+    yalla::obs::global().metrics().counter(name).get()
+}
+
+#[test]
+fn noop_rerun_is_fully_cached_with_zero_reparses() {
+    let _guard = COUNTER_LOCK.lock().unwrap();
+
+    let mut session = kokkos_session();
+    let cold = session.rerun().unwrap();
+    assert!(!cold.fully_cached());
+    assert_eq!(cold.files_reparsed, 1);
+    assert_eq!(cold.rewrites_recomputed, 2);
+
+    // Zero re-parses, asserted through the observability counters: not a
+    // single file may enter the preprocessor during a warm no-op rerun.
+    let files_before = counter(names::FILES_PREPROCESSED);
+    let parse_hits_before = counter(&names::stage_cache("parse", "hits"));
+    let reparsed_before = counter(names::SESSION_TUS_REPARSED);
+    let warm = session.rerun().unwrap();
+    assert_eq!(
+        counter(names::FILES_PREPROCESSED),
+        files_before,
+        "a warm no-op rerun must not preprocess any file"
+    );
+    assert_eq!(
+        counter(&names::stage_cache("parse", "hits")),
+        parse_hits_before + 1
+    );
+    assert_eq!(counter(names::SESSION_TUS_REPARSED), reparsed_before);
+
+    assert!(warm.fully_cached());
+    assert_eq!(warm.files_reparsed, 0);
+    assert_eq!(warm.rewrites_recomputed, 0);
+    assert_eq!(warm.rewrites_cached, 2);
+    for stage in [
+        Stage::Parse,
+        Stage::Analyze,
+        Stage::Plan,
+        Stage::Emit,
+        Stage::Rewrite,
+        Stage::Verify,
+    ] {
+        assert_eq!(warm.outcome(stage), CacheLookup::Hit, "{stage}");
+    }
+    // Cached stages report zero duration, never a stale measurement.
+    assert_eq!(warm.result.timings.total(), Duration::ZERO);
+    assert!(cold.result.timings.total() > Duration::ZERO);
+
+    // The artifacts are byte-identical to the cold run's.
+    assert_eq!(
+        cold.result.lightweight_header,
+        warm.result.lightweight_header
+    );
+    assert_eq!(cold.result.wrappers_file, warm.result.wrappers_file);
+    assert_eq!(cold.result.rewritten_sources, warm.result.rewritten_sources);
+}
+
+/// The Kokkos fixture with a user header (`util.hpp`) that the main TU
+/// includes but the wrappers TU never sees.
+fn memo_fixture() -> Session {
+    let mut vfs = kokkos_vfs();
+    vfs.add_file(
+        "util.hpp",
+        "#pragma once\ninline int helper() { return 1; }\n",
+    );
+    let kernel = vfs.lookup("kernel.cpp").expect("fixture file");
+    let kernel = format!("#include \"util.hpp\"\n{}", vfs.text(kernel));
+    vfs.add_file("kernel.cpp", kernel);
+    Session::new(kokkos_options(), vfs)
+}
+
+/// Replaces the first `from` in `path` with `to`.
+fn replace(session: &mut Session, path: &str, from: &str, to: &str) {
+    let id = session.vfs().lookup(path).expect("file exists");
+    let text = session.vfs().text(id);
+    assert!(text.contains(from), "{path} lacks {from:?}");
+    let new_text = text.replacen(from, to, 1);
+    session.apply_edit(path, new_text).expect("edit applies");
+}
+
+/// One memo-soundness case: a change to a warm session, and whether the
+/// verify stage that re-runs after it may reuse the wrappers check.
+struct MemoCase {
+    name: &'static str,
+    change: fn(Session) -> Session,
+    reused: bool,
+}
+
+#[test]
+fn wrappers_check_is_reused_exactly_while_its_closure_is_unchanged() {
+    let _guard = COUNTER_LOCK.lock().unwrap();
+    let cases = [
+        MemoCase {
+            name: "main-source comment",
+            change: |mut s| {
+                append(&mut s, "kernel.cpp", "// tweak");
+                s
+            },
+            reused: true,
+        },
+        MemoCase {
+            name: "main-source body",
+            change: |mut s| {
+                replace(
+                    &mut s,
+                    "kernel.cpp",
+                    "int j = m.league_rank();",
+                    "int j = m.league_rank();\n  int twice = j * 2;",
+                );
+                s
+            },
+            reused: true,
+        },
+        MemoCase {
+            name: "header inside the wrappers closure, usage unchanged",
+            change: |mut s| {
+                append(
+                    &mut s,
+                    "Kokkos_Impl.hpp",
+                    "namespace Kokkos { namespace Impl { struct Fresh {}; } }",
+                );
+                s
+            },
+            reused: false,
+        },
+        MemoCase {
+            name: "used-set growth",
+            change: |mut s| {
+                append(
+                    &mut s,
+                    "kernel.cpp",
+                    "int probe() { return Kokkos::clamp_index(7); }",
+                );
+                s
+            },
+            reused: false,
+        },
+        MemoCase {
+            // A session's defines are fixed when it opens, so a define
+            // change reaches verify as a new session over the same files.
+            name: "define change",
+            change: |s| {
+                let options = Options {
+                    defines: vec![("KOKKOS_ENABLE_DEBUG".into(), "1".into())],
+                    ..s.options().clone()
+                };
+                Session::new(options, s.vfs().clone())
+            },
+            reused: false,
+        },
+        MemoCase {
+            name: "file outside the wrappers closure",
+            change: |mut s| {
+                append(&mut s, "util.hpp", "inline int helper2() { return 2; }");
+                s
+            },
+            reused: true,
+        },
+    ];
+    for case in cases {
+        let name = case.name;
+        let mut session = memo_fixture();
+        let first = session.rerun().unwrap();
+        assert!(first.result.report.verification.passed(), "{name}");
+        let mut session = (case.change)(session);
+
+        let reused_before = counter(names::VERIFY_WRAPPERS_REUSED);
+        let warm = session.rerun().unwrap();
+        let reused = counter(names::VERIFY_WRAPPERS_REUSED) - reused_before;
+        assert!(
+            !warm.outcome(Stage::Verify).is_hit(),
+            "{name}: verify re-runs"
+        );
+        assert_eq!(reused, i64::from(case.reused), "{name}: wrappers reuse");
+
+        let cold = Engine::new(session.options().clone())
+            .run(session.vfs())
+            .unwrap();
+        let report = &warm.result.report;
+        assert_eq!(report.verification, cold.report.verification, "{name}");
+        assert!(report.verification.passed(), "{name}");
+        assert_eq!(report.before, cold.report.before, "{name}");
+        assert_eq!(report.after, cold.report.after, "{name}");
+    }
+}

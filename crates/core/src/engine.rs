@@ -138,8 +138,8 @@ impl Default for Options {
 /// `engine/*` span — the pipeline closes a [`yalla_obs::Span`] per phase
 /// and stores what it returns, so the Report and the Chrome trace can never
 /// disagree. A phase served from a session's artifact cache reports
-/// [`Duration::ZERO`] (never a stale measurement from an earlier run); the
-/// trace marks it with an `<phase> (cached)` instant event instead.
+/// [`Duration::ZERO`] (never a stale measurement from an earlier run);
+/// the record of the hit is its per-stage event-log line.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Timings {
     /// Preprocess + parse of the original TU.

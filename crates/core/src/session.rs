@@ -37,28 +37,32 @@
 //! the pass is reused and `verify.wrappers_reused` counts it; a failed
 //! check is never memoized.
 //!
-//! Before building the DAG, a *warm pre-pass* walks the key chain with
-//! cheap hashing only ([`yalla_cpp::cache::ParseCache::probe`], then slot
-//! key comparisons): every stage proven warm becomes a
-//! [`yalla_exec::Dag::cached`] node that completes inline without ever
-//! occupying a worker, so a fully warm rerun schedules nothing at all.
-//! Stages whose keys cannot be proven (a predecessor must recompute
-//! first) become live nodes that compute their key from their
-//! predecessors' outputs and refresh their slot, so cache hits *behind*
-//! an edited stage are still honored at run time. An edit that does not
-//! grow the used-symbol set leaves the usage fingerprint unchanged, so
-//! plan and emit are skipped entirely — the paper's §6 "no re-run
-//! needed" claim, which `extra_symbols` extends to future symbols.
-//! Independent per-source rewrites are separate DAG nodes and fan out
-//! across the pool. Every stage reports hits/misses/invalidations to
-//! [`yalla_obs`] under `cache.<stage>.*`.
+//! Each stage is declared once in [`Session::rerun_with`]: its
+//! dependencies, a key function over its predecessors' artifacts, its
+//! compute function and its memo. One driver turns the declarations into
+//! a run. As each stage is declared, the *warm pre-pass* calls its key
+//! function with cheap hashing only ([`yalla_cpp::cache::ParseCache::probe`],
+//! then slot key comparisons): a stage whose predecessors are all warm
+//! and whose memo holds its key becomes a [`yalla_exec::Dag::cached`]
+//! node that completes inline without ever occupying a worker, so a fully
+//! warm rerun schedules nothing at all. Every other stage becomes a live
+//! node that calls the same key function once its predecessors have run
+//! and refreshes its memo, so cache hits *behind* an edited stage are
+//! still honored at run time. An edit that does not grow the used-symbol
+//! set leaves the usage fingerprint unchanged, so plan and emit are
+//! skipped entirely — the paper's §6 "no re-run needed" claim, which
+//! `extra_symbols` extends to future symbols. Independent per-source
+//! rewrites are separate DAG nodes and fan out across the pool. Every
+//! stage instance's outcome is recorded in one place, which bumps
+//! [`yalla_obs`]'s `cache.<stage>.*` counters; the run's per-stage
+//! outcomes, counts and timings are one fold over those records.
 //!
 //! Artifacts are byte-identical at every worker count: stage closures
 //! are pure functions of their memoized inputs, per-source rewrites are
 //! independent, and the result map is assembled in source order — the
 //! executor only changes *when* a node runs, never what it computes.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashSet};
 use std::fmt;
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
@@ -70,7 +74,7 @@ use yalla_cpp::hash::{self, Fnv64};
 use yalla_cpp::loc::FileId;
 use yalla_cpp::vfs::Vfs;
 use yalla_cpp::ParsedTu;
-use yalla_exec::{CancelToken, Dag, Executor, Priority};
+use yalla_exec::{CancelToken, Dag, Executor, NodeId, Priority};
 use yalla_store::{Store, NS_RUN};
 
 pub use yalla_cpp::cache::CacheLookup;
@@ -100,6 +104,16 @@ pub enum Stage {
     /// Verification + after-statistics.
     Verify,
 }
+
+/// Every stage, in pipeline order.
+const STAGES: [Stage; 6] = [
+    Stage::Parse,
+    Stage::Analyze,
+    Stage::Plan,
+    Stage::Emit,
+    Stage::Rewrite,
+    Stage::Verify,
+];
 
 impl Stage {
     /// Stable lowercase label (used in metric names and CLI output).
@@ -228,25 +242,18 @@ struct VerifyArtifact {
     after: Option<TuStats>,
 }
 
-#[derive(Debug)]
-struct Slot<T> {
-    key: u64,
-    artifact: T,
-}
-
-/// A memoized stage slot shared with DAG node closures. The mutex is
-/// never held across a stage computation — only for the key comparison
-/// and the artifact swap — and distinct stages own distinct slots, so
-/// nodes never contend.
-type SharedSlot<T> = Mutex<Option<Slot<Arc<T>>>>;
+/// A memoized stage slot, `(key, artifact)`, shared with DAG node
+/// closures. The mutex is never held across a stage computation — only
+/// for the key comparison and the artifact swap — and distinct stage
+/// instances own distinct slots, so nodes never contend.
+type SharedSlot<T> = Mutex<Option<(u64, Arc<T>)>>;
 
 /// The cached artifact, if `key` matches the slot's current key.
 fn slot_hit<T>(slot: &SharedSlot<T>, key: u64) -> Option<Arc<T>> {
-    slot.lock()
-        .expect("stage slot lock")
-        .as_ref()
-        .filter(|s| s.key == key)
-        .map(|s| Arc::clone(&s.artifact))
+    let slot = slot.lock().expect("stage slot lock");
+    slot.as_ref()
+        .filter(|s| s.0 == key)
+        .map(|s| Arc::clone(&s.1))
 }
 
 /// Refreshes a memoized stage slot: reuse when the key matches, otherwise
@@ -255,162 +262,372 @@ fn refresh<T>(
     slot: &SharedSlot<T>,
     key: u64,
     compute: impl FnOnce() -> Result<T, YallaError>,
-) -> Result<(Arc<T>, CacheLookup), YallaError> {
-    if let Some(artifact) = slot_hit(slot, key) {
-        return Ok((artifact, CacheLookup::Hit));
-    }
-    let stale = slot.lock().expect("stage slot lock").is_some();
-    let artifact = Arc::new(compute()?);
-    *slot.lock().expect("stage slot lock") = Some(Slot {
-        key,
-        artifact: Arc::clone(&artifact),
-    });
-    Ok((
-        artifact,
-        if stale {
-            CacheLookup::Invalidated
-        } else {
-            CacheLookup::Miss
-        },
-    ))
-}
-
-/// Bumps `cache.<stage>.<outcome>` (and, when `totals`, the global
-/// `cache.hits`/`cache.misses`/`cache.invalidations` the parse cache
-/// already maintains for itself).
-fn note(stage: Stage, lookup: CacheLookup, totals: bool) {
-    use yalla_obs::metrics::names;
-    let outcome = match lookup {
-        CacheLookup::Hit => "hits",
-        CacheLookup::Miss | CacheLookup::Invalidated => "misses",
+) -> Result<(CacheLookup, Arc<T>), YallaError> {
+    let lookup = match &*slot.lock().expect("stage slot lock") {
+        Some((k, artifact)) if *k == key => return Ok((CacheLookup::Hit, Arc::clone(artifact))),
+        Some(_) => CacheLookup::Invalidated,
+        None => CacheLookup::Miss,
     };
-    yalla_obs::count(&names::stage_cache(stage.label(), outcome), 1);
-    if lookup == CacheLookup::Invalidated {
-        yalla_obs::count(&names::stage_cache(stage.label(), "invalidations"), 1);
-    }
-    if totals {
-        match lookup {
-            CacheLookup::Hit => yalla_obs::count(names::CACHE_HITS, 1),
-            CacheLookup::Miss => yalla_obs::count(names::CACHE_MISSES, 1),
-            CacheLookup::Invalidated => {
-                yalla_obs::count(names::CACHE_MISSES, 1);
-                yalla_obs::count(names::CACHE_INVALIDATIONS, 1);
-            }
-        }
-    }
+    let artifact = Arc::new(compute()?);
+    *slot.lock().expect("stage slot lock") = Some((key, Arc::clone(&artifact)));
+    Ok((lookup, artifact))
 }
 
-// ---- stage keys (pure hashing; shared by the warm pre-pass and nodes) ----
-
-/// Content address of the whole run's parse inputs: a single root's
-/// closure hash passes through unchanged (so existing single-TU disk
-/// keys stay valid), multiple roots fold in root order.
-fn combined_closure_hash(hashes: &[u64]) -> u64 {
-    match hashes {
-        [one] => *one,
-        many => {
-            let mut h = Fnv64::new();
-            for c in many {
-                h.write_u64(*c);
-            }
-            h.finish()
-        }
+/// Content address of the whole run's parse inputs, once every root's
+/// closure hash is known: a single root's passes through unchanged (so
+/// existing single-TU disk keys stay valid), multiple roots fold in root
+/// order.
+fn combined_closure_hash(hashes: impl Iterator<Item = Option<u64>>) -> Option<u64> {
+    let hashes: Vec<u64> = hashes.collect::<Option<_>>()?;
+    if let [one] = hashes[..] {
+        return Some(one);
     }
-}
-
-fn analyze_key_of(closure_hash: u64, opts: &Options) -> u64 {
     let mut h = Fnv64::new();
-    h.write_u64(closure_hash);
-    h.write_str(&opts.header);
-    for s in &opts.sources {
-        h.write_str(s);
+    for c in hashes {
+        h.write_u64(c);
     }
-    for e in &opts.extra_symbols {
-        h.write_str(e);
-    }
-    for r in &opts.tu_roots {
-        h.write_str(r);
-    }
-    h.finish()
+    Some(h.finish())
 }
 
-fn plan_key_of(analysis: &AnalysisArtifact) -> u64 {
-    let mut h = Fnv64::new();
-    h.write_u64(analysis.usage_fingerprint);
-    for d in &analysis.predeclare_diags {
-        h.write_str(d);
-    }
-    h.finish()
-}
-
-/// A source's rewrite depends on its own text, the text of every *source*
-/// file it transitively includes (type information flows along user
-/// includes), and the plan.
-fn rewrite_key_of(
-    vfs: &Vfs,
-    parsed: &ParsedTu,
-    analysis: &AnalysisArtifact,
-    plan_key: u64,
-    source: &str,
-) -> u64 {
-    let id = vfs.lookup(source).expect("sources validated");
-    let mut h = Fnv64::new();
-    h.write_u64(plan_key);
-    let mut reach: Vec<FileId> = crate::engine::reachable_from(id, &parsed.stats.include_edges)
+/// The one fold over a run's records (one per stage instance) into its
+/// [`SessionRun`]. A stage with several instances (parse per TU root,
+/// rewrite per source) is a hit only when every instance hit,
+/// invalidated when any was, and its duration is the summed work time.
+fn fold(mut result: SubstitutionResult, records: &[StageOutcome]) -> SessionRun {
+    let of = |stage: Stage| records.iter().filter(move |r| r.stage == stage);
+    let stages: Vec<StageOutcome> = STAGES
         .into_iter()
-        .filter(|f| analysis.source_files.contains(f))
+        .map(|stage| {
+            let lookup = if of(stage).all(|r| r.lookup.is_hit()) {
+                CacheLookup::Hit
+            } else if of(stage).any(|r| r.lookup == CacheLookup::Invalidated) {
+                CacheLookup::Invalidated
+            } else {
+                CacheLookup::Miss
+            };
+            let duration = of(stage).map(|r| r.duration).sum();
+            StageOutcome {
+                stage,
+                lookup,
+                duration,
+            }
+        })
         .collect();
-    reach.sort_by_key(|f| f.0);
-    if !reach.contains(&id) {
-        reach.push(id); // sources absent from the TU still rewrite
+    let dur = |stage: Stage| stages[stage as usize].duration;
+    result.timings = Timings {
+        parse: dur(Stage::Parse),
+        analyze: dur(Stage::Analyze),
+        plan: dur(Stage::Plan),
+        generate: dur(Stage::Emit) + dur(Stage::Rewrite),
+        verify: dur(Stage::Verify),
+    };
+    let misses = |stage: Stage| of(stage).filter(|r| !r.lookup.is_hit()).count();
+    SessionRun {
+        result,
+        files_reparsed: misses(Stage::Parse),
+        rewrites_recomputed: misses(Stage::Rewrite),
+        rewrites_cached: of(Stage::Rewrite).count() - misses(Stage::Rewrite),
+        parse_longest: of(Stage::Parse)
+            .map(|r| r.duration)
+            .max()
+            .unwrap_or_default(),
+        stages,
     }
-    for f in reach {
-        h.write_str(vfs.path(f));
-        h.write_u64(vfs.file_hash(f));
-    }
-    h.finish()
 }
 
-fn verify_key_of(
-    closure_hash: u64,
-    plan_key: u64,
-    opts: &Options,
-    emit_art: &EmitArtifact,
-    rewritten: &BTreeMap<String, Arc<String>>,
-) -> u64 {
-    let mut h = Fnv64::new();
-    h.write_u64(closure_hash);
-    h.write_u64(plan_key);
-    h.write_str(&opts.lightweight_name);
-    h.write_str(&opts.wrappers_name);
-    h.write_u64(hash::hash_str(&emit_art.lightweight));
-    h.write_u64(hash::hash_str(&emit_art.wrappers));
-    for (path, text) in rewritten {
-        h.write_str(path);
-        h.write_u64(hash::hash_str(text));
-    }
-    h.write_u64(u64::from(opts.verify));
-    h.finish()
+/// The session's memos: the parse cache, one slot per stage (one per
+/// source for rewrite, by source position) and the wrappers-check memo.
+#[derive(Debug, Default)]
+struct Slots {
+    parse: ParseCache,
+    analysis: SharedSlot<AnalysisArtifact>,
+    plan: SharedSlot<Plan>,
+    emit: SharedSlot<EmitArtifact>,
+    rewrites: Vec<SharedSlot<String>>,
+    verify: SharedSlot<VerifyArtifact>,
+    wrappers: Mutex<Option<WrappersMemo>>,
 }
 
-/// Per-stage bookkeeping the DAG nodes write and the assembly reads.
-/// Parse is aggregated like rewrite: one counter set across every TU
-/// root (a hit only when *all* roots hit; duration is summed work time).
-#[derive(Debug, Default, Clone)]
-struct RunLog {
-    parse_dur: Duration,
-    parse_longest: Duration,
-    parse_misses: usize,
-    parse_invalidated: bool,
-    analyze: Option<(CacheLookup, Duration)>,
-    plan: Option<(CacheLookup, Duration)>,
-    emit: Option<(CacheLookup, Duration)>,
-    verify: Option<(CacheLookup, Duration)>,
-    files_reparsed: usize,
-    rewrites_recomputed: usize,
-    rewrites_cached: usize,
-    rewrite_invalidated: bool,
-    rewrite_dur: Duration,
+/// One rerun: its inputs, the session's memos, the cells carrying each
+/// stage's artifact to its dependents, and one outcome record per stage
+/// instance (parse per TU root, rewrite per source). The pre-pass fills
+/// the cell of a stage it proves warm; a live node fills its own. An
+/// empty cell is how a key function learns, during the pre-pass, that a
+/// predecessor must run first.
+#[derive(Debug)]
+struct Run {
+    opts: Options,
+    vfs: Arc<Vfs>,
+    slots: Arc<Slots>,
+    roots: Vec<String>,
+    parses: Vec<OnceLock<Arc<CachedParse>>>,
+    analysis: OnceLock<Arc<AnalysisArtifact>>,
+    plan: OnceLock<Arc<Plan>>,
+    emit: OnceLock<Arc<EmitArtifact>>,
+    rewrites: Vec<OnceLock<Arc<String>>>,
+    verify: OnceLock<Arc<VerifyArtifact>>,
+    log: Mutex<Vec<StageOutcome>>,
+}
+
+/// A completed predecessor's artifact.
+fn done<T>(cell: &OnceLock<Arc<T>>) -> &T {
+    cell.get().expect("predecessor completed")
+}
+
+impl Run {
+    fn new(opts: Options, vfs: Arc<Vfs>, slots: Arc<Slots>) -> Run {
+        let roots = opts.parse_roots();
+        Run {
+            parses: roots.iter().map(|_| OnceLock::new()).collect(),
+            rewrites: opts.sources.iter().map(|_| OnceLock::new()).collect(),
+            opts,
+            vfs,
+            slots,
+            roots,
+            analysis: OnceLock::new(),
+            plan: OnceLock::new(),
+            emit: OnceLock::new(),
+            verify: OnceLock::new(),
+            log: Mutex::default(),
+        }
+    }
+
+    /// The TU source `i`'s rewrite reads from: its own root's when the
+    /// source names one, otherwise the primary root's (the classic
+    /// single-TU shape, where sources[1..] are support files).
+    fn owner_tu(&self, i: usize) -> Option<&ParsedTu> {
+        let root = self.roots.iter().position(|r| *r == self.opts.sources[i]);
+        Some(&self.parses[root.unwrap_or(0)].get()?.tu)
+    }
+
+    // ---- stage keys: pure hashing over the predecessors' cells, `None`
+    // while one is still empty (which only the pre-pass can see) ----------
+
+    fn closure_hash(&self) -> Option<u64> {
+        combined_closure_hash(self.parses.iter().map(|c| Some(c.get()?.closure_hash)))
+    }
+
+    fn analyze_key(&self) -> Option<u64> {
+        let (opts, mut h) = (&self.opts, Fnv64::new());
+        h.write_u64(self.closure_hash()?);
+        h.write_str(&opts.header);
+        let names = opts.sources.iter().chain(&opts.extra_symbols);
+        for s in names.chain(&opts.tu_roots) {
+            h.write_str(s);
+        }
+        Some(h.finish())
+    }
+
+    fn plan_key(&self) -> Option<u64> {
+        let (analysis, mut h) = (self.analysis.get()?, Fnv64::new());
+        h.write_u64(analysis.usage_fingerprint);
+        for d in &analysis.predeclare_diags {
+            h.write_str(d);
+        }
+        Some(h.finish())
+    }
+
+    /// Emit depends on the plan alone, so its key is the plan key.
+    fn emit_key(&self) -> Option<u64> {
+        self.plan.get()?;
+        self.plan_key()
+    }
+
+    /// A source's rewrite depends on its own text, the text of every
+    /// *source* file it transitively includes (type information flows
+    /// along user includes), and the plan.
+    fn rewrite_key(&self, i: usize) -> Option<u64> {
+        let parsed = self.owner_tu(i)?;
+        let analysis = self.analysis.get()?;
+        let mut h = Fnv64::new();
+        h.write_u64(self.emit_key()?);
+        let id = self
+            .vfs
+            .lookup(&self.opts.sources[i])
+            .expect("sources validated");
+        let mut reach: Vec<FileId> = crate::engine::reachable_from(id, &parsed.stats.include_edges)
+            .into_iter()
+            .filter(|f| analysis.source_files.contains(f))
+            .collect();
+        reach.sort_by_key(|f| f.0);
+        if !reach.contains(&id) {
+            reach.push(id); // sources absent from the TU still rewrite
+        }
+        for f in reach {
+            h.write_str(self.vfs.path(f));
+            h.write_u64(self.vfs.file_hash(f));
+        }
+        Some(h.finish())
+    }
+
+    fn verify_key(&self) -> Option<u64> {
+        let (emit_art, mut h) = (self.emit.get()?, Fnv64::new());
+        h.write_u64(self.closure_hash()?);
+        h.write_u64(self.plan_key()?);
+        h.write_str(&self.opts.lightweight_name);
+        h.write_str(&self.opts.wrappers_name);
+        h.write_u64(hash::hash_str(&emit_art.lightweight));
+        h.write_u64(hash::hash_str(&emit_art.wrappers));
+        for (path, text) in self.rewritten()? {
+            h.write_str(path);
+            h.write_u64(hash::hash_str(text));
+        }
+        h.write_u64(u64::from(self.opts.verify));
+        Some(h.finish())
+    }
+
+    /// The rewritten sources by path, once every rewrite has its artifact.
+    fn rewritten(&self) -> Option<BTreeMap<&str, &str>> {
+        self.opts
+            .sources
+            .iter()
+            .zip(&self.rewrites)
+            .map(|(s, c)| Some((s.as_str(), c.get()?.as_str())))
+            .collect()
+    }
+
+    /// Records one stage instance's outcome: the single place that bumps
+    /// `cache.<stage>.{hits,misses,invalidations}` and appends to the run
+    /// log. Parse also counts a re-parsed TU under `session.tus_reparsed`;
+    /// every other stage also bumps the global `cache.hits` /
+    /// `cache.misses` / `cache.invalidations`, which the parse cache
+    /// maintains for itself.
+    fn record(&self, stage: Stage, lookup: CacheLookup, duration: Duration) {
+        use yalla_obs::{count, metrics::names};
+        let (label, hit) = (stage.label(), lookup.is_hit());
+        count(
+            &names::stage_cache(label, if hit { "hits" } else { "misses" }),
+            1,
+        );
+        match (stage, lookup) {
+            (Stage::Parse, CacheLookup::Hit) => {}
+            (Stage::Parse, _) => count(names::SESSION_TUS_REPARSED, 1),
+            (_, CacheLookup::Hit) => count(names::CACHE_HITS, 1),
+            (_, CacheLookup::Miss) => count(names::CACHE_MISSES, 1),
+            (_, CacheLookup::Invalidated) => {
+                count(names::CACHE_MISSES, 1);
+                count(names::CACHE_INVALIDATIONS, 1);
+            }
+        }
+        if lookup == CacheLookup::Invalidated {
+            count(&names::stage_cache(label, "invalidations"), 1);
+        }
+        let duration = if hit { Duration::ZERO } else { duration };
+        let record = StageOutcome {
+            stage,
+            lookup,
+            duration,
+        };
+        self.log.lock().expect("run log").push(record);
+    }
+
+    /// The substitution result, assembled from the completed cells.
+    fn result(&self) -> SubstitutionResult {
+        let parsed = &done(&self.parses[0]).tu;
+        let (plan, emit_art, verify_art) = (done(&self.plan), done(&self.emit), done(&self.verify));
+        let mut report = Report::from_plan(plan);
+        report.before = TuStats {
+            loc: parsed.stats.lines_compiled,
+            headers: parsed.stats.header_count(),
+        };
+        report.verification = verify_art.verification.clone();
+        if let Some(after) = verify_art.after {
+            report.after = after;
+        }
+        let rewritten = self.rewritten().expect("rewrites completed");
+        SubstitutionResult {
+            lightweight_header: emit_art.lightweight.clone(),
+            wrappers_file: emit_art.wrappers.clone(),
+            rewritten_sources: rewritten
+                .into_iter()
+                .map(|(path, text)| (path.to_string(), text.to_string()))
+                .collect(),
+            plan: plan.clone(),
+            report,
+            timings: Timings::default(),
+        }
+    }
+}
+
+/// Turns stage declarations into one rerun. It alone runs the warm
+/// pre-pass, builds the DAG, plants the live nodes' cancel point, spans
+/// them and records every stage instance's outcome.
+struct Driver {
+    run: Arc<Run>,
+    cancel: CancelToken,
+    dag: Dag<YallaError>,
+    /// Every declared stage instance, and whether the pre-pass proved it
+    /// warm.
+    declared: Vec<(Stage, bool)>,
+}
+
+impl Driver {
+    /// Declares an instance of `stage` after `deps`, memoized in the slot
+    /// `place` names beside its cell. The one `key` function serves both
+    /// the pre-pass probe and the live refresh.
+    fn keyed<T: fmt::Debug + Send + Sync + 'static>(
+        &mut self,
+        stage: Stage,
+        deps: &[NodeId],
+        place: impl Fn(&Run) -> (&OnceLock<Arc<T>>, &SharedSlot<T>) + Copy + Send + 'static,
+        key: impl Fn(&Run) -> Option<u64> + Copy + Send + 'static,
+        compute: impl FnOnce(&Run) -> Result<T, YallaError> + Send + 'static,
+    ) -> NodeId {
+        self.memo(
+            stage,
+            deps,
+            move |r| place(r).0,
+            move |r| slot_hit(place(r).1, key(r)?),
+            move |r| {
+                refresh(place(r).1, key(r).expect("predecessors completed"), || {
+                    compute(r)
+                })
+            },
+        )
+    }
+
+    /// Declares an instance of `stage` after `deps` over any memo. The
+    /// pre-pass calls `probe` now: a hit fills `cell` and becomes a cached
+    /// node. Otherwise a live node calls `refresh` once its predecessors
+    /// have filled theirs.
+    fn memo<T: fmt::Debug + Send + Sync + 'static>(
+        &mut self,
+        stage: Stage,
+        deps: &[NodeId],
+        cell: impl Fn(&Run) -> &OnceLock<Arc<T>> + Send + 'static,
+        probe: impl FnOnce(&Run) -> Option<Arc<T>>,
+        refresh: impl FnOnce(&Run) -> Result<(CacheLookup, Arc<T>), YallaError> + Send + 'static,
+    ) -> NodeId {
+        let warm = probe(&self.run);
+        self.declared.push((stage, warm.is_some()));
+        if let Some(artifact) = warm {
+            cell(&self.run).set(artifact).expect("fresh cell");
+            return self.dag.cached(stage.label(), deps);
+        }
+        let (run, cancel) = (Arc::clone(&self.run), self.cancel.clone());
+        self.dag.node(stage.label(), deps, move || {
+            // Cancel point: the stage boundary of every live node.
+            if cancel.checkpoint() {
+                return Err(YallaError::Cancelled);
+            }
+            let span = yalla_obs::span("engine", stage.label());
+            let (lookup, artifact) = refresh(&run)?;
+            run.record(stage, lookup, span.finish());
+            cell(&run).set(artifact).expect("stage node runs once");
+            Ok(())
+        })
+    }
+
+    /// Records every pre-pass hit — or every declared instance, when the
+    /// disk tier answered the whole run — and hands over the DAG.
+    fn finish(self, disk_warm: bool) -> Dag<YallaError> {
+        for &(stage, warm) in &self.declared {
+            if warm || disk_warm {
+                self.run.record(stage, CacheLookup::Hit, Duration::ZERO);
+            }
+        }
+        self.dag
+    }
 }
 
 /// A persistent Header Substitution session: the engine pipeline plus a
@@ -443,13 +660,7 @@ struct RunLog {
 pub struct Session {
     options: Options,
     vfs: Arc<Vfs>,
-    parse_cache: Arc<ParseCache>,
-    analysis: Arc<SharedSlot<AnalysisArtifact>>,
-    plan: Arc<SharedSlot<Plan>>,
-    emit: Arc<SharedSlot<EmitArtifact>>,
-    rewrites: Arc<Mutex<HashMap<String, Slot<Arc<String>>>>>,
-    verify: Arc<SharedSlot<VerifyArtifact>>,
-    wrappers_memo: Arc<Mutex<Option<WrappersMemo>>>,
+    slots: Arc<Slots>,
     store: Option<Arc<Store>>,
     reruns: u64,
 }
@@ -466,16 +677,15 @@ impl Session {
     /// Creates a session over `vfs` backed by `store` as a second cache
     /// tier (memory → disk → recompute), or purely in-memory when `None`.
     pub fn with_store(options: Options, vfs: Vfs, store: Option<Arc<Store>>) -> Self {
+        let slots = Slots {
+            parse: ParseCache::with_store(store.clone()),
+            rewrites: options.sources.iter().map(|_| Mutex::default()).collect(),
+            ..Slots::default()
+        };
         Session {
             options,
             vfs: Arc::new(vfs),
-            parse_cache: Arc::new(ParseCache::with_store(store.clone())),
-            analysis: Arc::new(Mutex::new(None)),
-            plan: Arc::new(Mutex::new(None)),
-            emit: Arc::new(Mutex::new(None)),
-            rewrites: Arc::new(Mutex::new(HashMap::new())),
-            verify: Arc::new(Mutex::new(None)),
-            wrappers_memo: Arc::new(Mutex::new(None)),
+            slots: Arc::new(slots),
             store,
             reruns: 0,
         }
@@ -570,50 +780,25 @@ impl Session {
         yalla_obs::count(yalla_obs::metrics::names::ENGINE_RUNS, 1);
         yalla_obs::count(yalla_obs::metrics::names::SESSION_RERUNS, 1);
         self.reruns += 1;
-        let opts = Arc::new(self.options.clone());
-        let vfs = Arc::clone(&self.vfs);
+        let (opts, vfs) = (self.options.clone(), Arc::clone(&self.vfs));
+        let run = Arc::new(Run::new(opts, vfs, Arc::clone(&self.slots)));
 
         // ---- validate sources up front: report *all* missing paths -----
-        let main_source = opts
-            .sources
-            .first()
-            .ok_or_else(|| YallaError::SourceNotFound("<no sources given>".into()))?
-            .clone();
-        let roots: Arc<Vec<String>> = Arc::new(opts.parse_roots());
+        if run.opts.sources.is_empty() {
+            return Err(YallaError::SourceNotFound("<no sources given>".into()));
+        }
         let mut seen_missing = HashSet::new();
-        let missing: Vec<String> = opts
+        let missing: Vec<String> = run
+            .opts
             .sources
             .iter()
-            .chain(roots.iter())
-            .filter(|s| vfs.lookup(s).is_none() && seen_missing.insert(s.as_str().to_string()))
+            .chain(&run.roots)
+            .filter(|s| run.vfs.lookup(s).is_none() && seen_missing.insert(s.as_str()))
             .cloned()
             .collect();
         if !missing.is_empty() {
             return Err(YallaError::SourcesNotFound(missing));
         }
-        // Which TU a source's rewrite reads from: its own root when the
-        // source names one, otherwise the primary root's TU (the classic
-        // single-TU shape, where sources[1..] are support files).
-        let root_index: HashMap<&str, usize> = roots
-            .iter()
-            .enumerate()
-            .map(|(i, r)| (r.as_str(), i))
-            .collect();
-        let owners: Vec<usize> = opts
-            .sources
-            .iter()
-            .map(|s| root_index.get(s.as_str()).copied().unwrap_or(0))
-            .collect();
-
-        // Cells carrying each stage's output to its dependents (one parse
-        // cell per TU root; the analyze node reads them all).
-        let parse_cells: Arc<Vec<OnceLock<CachedParse>>> =
-            Arc::new((0..roots.len()).map(|_| OnceLock::new()).collect());
-        let analysis_cell: Arc<OnceLock<Arc<AnalysisArtifact>>> = Arc::new(OnceLock::new());
-        let plan_cell: Arc<OnceLock<(Arc<Plan>, u64)>> = Arc::new(OnceLock::new());
-        let emit_cell: Arc<OnceLock<Arc<EmitArtifact>>> = Arc::new(OnceLock::new());
-        let verify_cell: Arc<OnceLock<Arc<VerifyArtifact>>> = Arc::new(OnceLock::new());
-        let log = Arc::new(Mutex::new(RunLog::default()));
 
         // Cancel point: run entry. A rerun superseded before it starts
         // costs nothing.
@@ -621,59 +806,68 @@ impl Session {
             return Err(YallaError::Cancelled);
         }
 
-        // ---- warm pre-pass ---------------------------------------------
-        // Walk the key chain with cheap hashing only; every stage proven
-        // warm becomes a `cached` DAG node and never occupies a worker.
-        // The chain stops at the first stage whose key needs a recomputed
-        // predecessor — later stages become live nodes and re-check their
-        // slots at run time.
-        let warm_parses: Vec<Option<CachedParse>> = roots
-            .iter()
-            .map(|r| self.parse_cache.probe(&vfs, &opts.defines, r))
-            .collect();
-        let warm_closure: Option<u64> = warm_parses
-            .iter()
-            .map(|p| p.as_ref().map(|p| p.closure_hash))
-            .collect::<Option<Vec<u64>>>()
-            .map(|hashes| combined_closure_hash(&hashes));
-        let warm_analysis = warm_closure
-            .and_then(|closure| slot_hit(&self.analysis, analyze_key_of(closure, &opts)));
-        let warm_plan = warm_analysis.as_ref().and_then(|a| {
-            let key = plan_key_of(a);
-            slot_hit(&self.plan, key).map(|p| (p, key))
-        });
-        let warm_emit = warm_plan
-            .as_ref()
-            .and_then(|(_, key)| slot_hit(&self.emit, *key));
-        let rewrite_warm: Vec<bool> = match (&warm_closure, &warm_analysis, &warm_plan) {
-            (Some(_), Some(a), Some((_, plan_key))) => {
-                let map = self.rewrites.lock().expect("rewrites lock");
-                opts.sources
-                    .iter()
-                    .zip(&owners)
-                    .map(|(s, &owner)| {
-                        let tu = &warm_parses[owner].as_ref().expect("all roots warm").tu;
-                        let key = rewrite_key_of(&vfs, tu, a, *plan_key, s);
-                        map.get(s).is_some_and(|slot| slot.key == key)
-                    })
-                    .collect()
-            }
-            _ => vec![false; opts.sources.len()],
+        // ---- the stages, each declared once ----------------------------
+        let mut d = Driver {
+            run: Arc::clone(&run),
+            cancel: cancel.clone(),
+            dag: Dag::new(),
+            declared: Vec::new(),
         };
-        let all_rewrites_warm = rewrite_warm.iter().all(|w| *w);
-        let warm_verify = match (&warm_closure, &warm_plan, &warm_emit) {
-            (Some(closure), Some((_, plan_key)), Some(e)) if all_rewrites_warm => {
-                let map = self.rewrites.lock().expect("rewrites lock");
-                let rewritten: BTreeMap<String, Arc<String>> = opts
-                    .sources
-                    .iter()
-                    .map(|s| (s.clone(), Arc::clone(&map[s].artifact)))
-                    .collect();
-                let key = verify_key_of(*closure, *plan_key, &opts, e, &rewritten);
-                slot_hit(&self.verify, key)
-            }
-            _ => None,
-        };
+        // One parse node per TU root, all independent — a mega project's
+        // per-TU preprocessing and parsing fans out across the pool just
+        // like per-source rewrites do. The parse cache is the memo: its
+        // probe validates the key, `(root, defines)` plus the depfile.
+        let mut parses = Vec::with_capacity(run.roots.len());
+        for i in 0..run.roots.len() {
+            let probe = move |r: &Run| r.slots.parse.probe(&r.vfs, &r.opts.defines, &r.roots[i]);
+            parses.push(d.memo(
+                Stage::Parse,
+                &[],
+                move |r| &r.parses[i],
+                move |r| probe(r).map(Arc::new),
+                move |r| {
+                    let parsed = r.slots.parse.parse(&r.vfs, &r.opts.defines, &r.roots[i])?;
+                    Ok((parsed.lookup, Arc::new(parsed)))
+                },
+            ));
+        }
+        let analyze = d.keyed(
+            Stage::Analyze,
+            &parses,
+            |r| (&r.analysis, &r.slots.analysis),
+            Run::analyze_key,
+            stage_analyze,
+        );
+        let plan = d.keyed(
+            Stage::Plan,
+            &[analyze],
+            |r| (&r.plan, &r.slots.plan),
+            Run::plan_key,
+            |r| Ok(stage_plan(done(&r.analysis), &r.opts)),
+        );
+        let mut verify_deps = vec![d.keyed(
+            Stage::Emit,
+            &[plan],
+            |r| (&r.emit, &r.slots.emit),
+            Run::emit_key,
+            |r| Ok(stage_emit(done(&r.plan), &r.opts)),
+        )];
+        for i in 0..run.opts.sources.len() {
+            verify_deps.push(d.keyed(
+                Stage::Rewrite,
+                &[plan],
+                move |r| (&r.rewrites[i], &r.slots.rewrites[i]),
+                move |r| r.rewrite_key(i),
+                move |r| Ok(stage_rewrite(r, i)),
+            ));
+        }
+        d.keyed(
+            Stage::Verify,
+            &verify_deps,
+            |r| (&r.verify, &r.slots.verify),
+            Run::verify_key,
+            |r| Ok(stage_verify(r)),
+        );
 
         // Cancel point: store boundary. Guards the disk probe below (a
         // superseded rerun skips the store lookups entirely) and gives
@@ -684,475 +878,31 @@ impl Session {
 
         // ---- disk tier (memory → disk → recompute) ---------------------
         // When the memory tier cannot prove the whole run warm, ask the
-        // on-disk store: a validated parse manifest recovers the closure
-        // hash without preprocessing anything, and the closure hash plus
-        // options plus source hashes addresses a whole-run artifact
-        // bundle. A bundle hit is a complete answer — every stage reports
-        // `hit` and nothing is scheduled, which is what makes a fresh
-        // process (or a daemon restarted after `kill -9`) disk-warm.
-        if warm_verify.is_none() {
-            if let Some(store) = &self.store {
-                let closure_hash = roots
-                    .iter()
-                    .zip(&warm_parses)
-                    .map(|(root, warm)| {
-                        warm.as_ref()
-                            .map(|p| p.closure_hash)
-                            .or_else(|| self.parse_cache.probe_disk(&vfs, &opts.defines, root))
-                    })
-                    .collect::<Option<Vec<u64>>>()
-                    .map(|hashes| combined_closure_hash(&hashes));
-                if let Some(closure_hash) = closure_hash {
-                    let run_key = persist::run_key_of(closure_hash, &opts, &vfs);
-                    // Zero-copy hit: the record is validated once and the
-                    // bundle module decodes straight from the payload view.
-                    let bundle = store
-                        .get_view(NS_RUN, run_key)
-                        .and_then(|view| persist::decode_run(&view));
-                    if let Some(result) = bundle {
-                        yalla_obs::global().instant("engine", "run (disk-warm)");
-                        for _ in roots.iter() {
-                            note(Stage::Parse, CacheLookup::Hit, false);
-                        }
-                        note(Stage::Analyze, CacheLookup::Hit, true);
-                        note(Stage::Plan, CacheLookup::Hit, true);
-                        note(Stage::Emit, CacheLookup::Hit, true);
-                        for _ in &opts.sources {
-                            note(Stage::Rewrite, CacheLookup::Hit, true);
-                        }
-                        note(Stage::Verify, CacheLookup::Hit, true);
-                        let stages = [
-                            Stage::Parse,
-                            Stage::Analyze,
-                            Stage::Plan,
-                            Stage::Emit,
-                            Stage::Rewrite,
-                            Stage::Verify,
-                        ]
-                        .into_iter()
-                        .map(|stage| StageOutcome {
-                            stage,
-                            lookup: CacheLookup::Hit,
-                            duration: Duration::ZERO,
-                        })
-                        .collect();
-                        return Ok(SessionRun {
-                            result,
-                            stages,
-                            files_reparsed: 0,
-                            rewrites_recomputed: 0,
-                            rewrites_cached: opts.sources.len(),
-                            parse_longest: Duration::ZERO,
-                        });
-                    }
-                }
-            }
-        }
-
-        // ---- build the stage DAG ---------------------------------------
-        let mut dag: Dag<YallaError> = Dag::new();
-
-        // One parse node per TU root, all independent — a mega project's
-        // per-TU preprocessing and parsing fans out across the pool just
-        // like per-source rewrites always have.
-        let mut parse_ids = Vec::with_capacity(roots.len());
-        for (i, root) in roots.iter().enumerate() {
-            let label = if roots.len() == 1 {
-                "parse".to_string()
-            } else {
-                format!("parse {root}")
-            };
-            match &warm_parses[i] {
-                Some(p) => {
-                    parse_cells[i].set(p.clone()).expect("fresh cell");
-                    note(Stage::Parse, CacheLookup::Hit, false);
-                    yalla_obs::global().instant("engine", "parse (cached)");
-                    parse_ids.push(dag.cached(label, &[]));
-                }
-                None => {
-                    let (cache, vfs, opts, root, cells, log, cancel) = (
-                        Arc::clone(&self.parse_cache),
-                        Arc::clone(&vfs),
-                        Arc::clone(&opts),
-                        root.clone(),
-                        Arc::clone(&parse_cells),
-                        Arc::clone(&log),
-                        cancel.clone(),
-                    );
-                    parse_ids.push(dag.node(label, &[], move || {
-                        if cancel.checkpoint() {
-                            return Err(YallaError::Cancelled);
-                        }
-                        let span = yalla_obs::span("engine", "parse");
-                        let parsed = cache.parse(&vfs, &opts.defines, &root)?;
-                        let dur = span.finish();
-                        note(Stage::Parse, parsed.lookup, false);
-                        let dur = if parsed.lookup.is_hit() {
-                            yalla_obs::global().instant("engine", "parse (cached)");
-                            Duration::ZERO
-                        } else {
-                            yalla_obs::count(yalla_obs::metrics::names::SESSION_TUS_REPARSED, 1);
-                            dur
-                        };
-                        let mut log = log.lock().expect("run log");
-                        if !parsed.lookup.is_hit() {
-                            log.files_reparsed += 1;
-                            log.parse_misses += 1;
-                            log.parse_invalidated |= parsed.lookup == CacheLookup::Invalidated;
-                        }
-                        log.parse_dur += dur;
-                        log.parse_longest = log.parse_longest.max(dur);
-                        cells[i].set(parsed).expect("parse node runs once");
-                        Ok(())
-                    }));
-                }
-            }
-        }
-
-        let analyze_id = match &warm_analysis {
-            Some(a) => {
-                analysis_cell.set(Arc::clone(a)).expect("fresh cell");
-                note(Stage::Analyze, CacheLookup::Hit, true);
-                yalla_obs::global().instant("engine", "analyze (cached)");
-                log.lock().expect("run log").analyze = Some((CacheLookup::Hit, Duration::ZERO));
-                dag.cached("analyze", &parse_ids)
-            }
+        // on-disk store. A bundle hit is a complete answer — every stage
+        // records `hit` and nothing is scheduled, which is what makes a
+        // fresh process (or a daemon restarted after `kill -9`) disk-warm.
+        let bundle = match run.verify.get() {
+            Some(_) => None,
+            None => self.disk_bundle(&run),
+        };
+        let dag = d.finish(bundle.is_some());
+        let result = match bundle {
+            Some(result) => result,
             None => {
-                let (slot, vfs, opts, parse_cells, cell, log, cancel) = (
-                    Arc::clone(&self.analysis),
-                    Arc::clone(&vfs),
-                    Arc::clone(&opts),
-                    Arc::clone(&parse_cells),
-                    Arc::clone(&analysis_cell),
-                    Arc::clone(&log),
-                    cancel.clone(),
-                );
-                dag.node("analyze", &parse_ids, move || {
-                    if cancel.checkpoint() {
-                        return Err(YallaError::Cancelled);
-                    }
-                    let parsed_roots: Vec<Arc<ParsedTu>> = parse_cells
-                        .iter()
-                        .map(|c| Arc::clone(&c.get().expect("parse completed").tu))
-                        .collect();
-                    let hashes: Vec<u64> = parse_cells
-                        .iter()
-                        .map(|c| c.get().expect("parse completed").closure_hash)
-                        .collect();
-                    let key = analyze_key_of(combined_closure_hash(&hashes), &opts);
-                    let span = yalla_obs::span("engine", "analyze");
-                    let (artifact, lookup) =
-                        refresh(&slot, key, || stage_analyze(&parsed_roots, &vfs, &opts))?;
-                    let dur = span.finish();
-                    note(Stage::Analyze, lookup, true);
-                    let dur = if lookup.is_hit() {
-                        yalla_obs::global().instant("engine", "analyze (cached)");
-                        Duration::ZERO
-                    } else {
-                        dur
-                    };
-                    log.lock().expect("run log").analyze = Some((lookup, dur));
-                    cell.set(artifact).expect("analyze node runs once");
-                    Ok(())
-                })
-            }
-        };
-
-        let plan_id = match &warm_plan {
-            Some((p, key)) => {
-                plan_cell.set((Arc::clone(p), *key)).expect("fresh cell");
-                note(Stage::Plan, CacheLookup::Hit, true);
-                yalla_obs::global().instant("engine", "plan (cached)");
-                log.lock().expect("run log").plan = Some((CacheLookup::Hit, Duration::ZERO));
-                dag.cached("plan", &[analyze_id])
-            }
-            None => {
-                let (slot, opts, analysis_cell, cell, log, cancel) = (
-                    Arc::clone(&self.plan),
-                    Arc::clone(&opts),
-                    Arc::clone(&analysis_cell),
-                    Arc::clone(&plan_cell),
-                    Arc::clone(&log),
-                    cancel.clone(),
-                );
-                dag.node("plan", &[analyze_id], move || {
-                    if cancel.checkpoint() {
-                        return Err(YallaError::Cancelled);
-                    }
-                    let analysis = analysis_cell.get().expect("analyze completed");
-                    let key = plan_key_of(analysis);
-                    let span = yalla_obs::span("engine", "plan");
-                    let (artifact, lookup) =
-                        refresh(&slot, key, || Ok(stage_plan(analysis, &opts)))?;
-                    let dur = span.finish();
-                    note(Stage::Plan, lookup, true);
-                    let dur = if lookup.is_hit() {
-                        yalla_obs::global().instant("engine", "plan (cached)");
-                        Duration::ZERO
-                    } else {
-                        dur
-                    };
-                    log.lock().expect("run log").plan = Some((lookup, dur));
-                    cell.set((artifact, key)).expect("plan node runs once");
-                    Ok(())
-                })
-            }
-        };
-
-        let emit_id = match &warm_emit {
-            Some(e) => {
-                emit_cell.set(Arc::clone(e)).expect("fresh cell");
-                note(Stage::Emit, CacheLookup::Hit, true);
-                log.lock().expect("run log").emit = Some((CacheLookup::Hit, Duration::ZERO));
-                dag.cached("emit", &[plan_id])
-            }
-            None => {
-                let (slot, opts, plan_cell, cell, log, cancel) = (
-                    Arc::clone(&self.emit),
-                    Arc::clone(&opts),
-                    Arc::clone(&plan_cell),
-                    Arc::clone(&emit_cell),
-                    Arc::clone(&log),
-                    cancel.clone(),
-                );
-                dag.node("emit", &[plan_id], move || {
-                    if cancel.checkpoint() {
-                        return Err(YallaError::Cancelled);
-                    }
-                    let (plan, plan_key) = plan_cell.get().expect("plan completed");
-                    let span = yalla_obs::span("engine", "emit");
-                    let (artifact, lookup) = refresh(&slot, *plan_key, || {
-                        Ok(EmitArtifact {
-                            lightweight: emit::lightweight_header(plan, &opts.header),
-                            wrappers: emit::wrappers_file(
-                                plan,
-                                &opts.header,
-                                &opts.lightweight_name,
-                            ),
-                        })
-                    })?;
-                    let dur = span.finish();
-                    note(Stage::Emit, lookup, true);
-                    let dur = if lookup.is_hit() { Duration::ZERO } else { dur };
-                    log.lock().expect("run log").emit = Some((lookup, dur));
-                    cell.set(artifact).expect("emit node runs once");
-                    Ok(())
-                })
-            }
-        };
-
-        let mut rewrite_ids = Vec::with_capacity(opts.sources.len());
-        for (i, source) in opts.sources.iter().enumerate() {
-            if rewrite_warm[i] {
-                note(Stage::Rewrite, CacheLookup::Hit, true);
-                log.lock().expect("run log").rewrites_cached += 1;
-                rewrite_ids.push(dag.cached(format!("rewrite {source}"), &[plan_id]));
-                continue;
-            }
-            let owner = owners[i];
-            let (map, vfs, opts, source, parse_cells, analysis_cell, plan_cell, log, cancel) = (
-                Arc::clone(&self.rewrites),
-                Arc::clone(&vfs),
-                Arc::clone(&opts),
-                source.clone(),
-                Arc::clone(&parse_cells),
-                Arc::clone(&analysis_cell),
-                Arc::clone(&plan_cell),
-                Arc::clone(&log),
-                cancel.clone(),
-            );
-            rewrite_ids.push(dag.node(format!("rewrite {source}"), &[plan_id], move || {
-                if cancel.checkpoint() {
-                    return Err(YallaError::Cancelled);
+                if let Some(err) = dag.run_at(exec, priority).error {
+                    // A cancelled run returns only after every in-flight
+                    // node has finished (the DAG waits for the whole
+                    // graph), so no node is still writing into the stage
+                    // slots when the caller retries.
+                    return Err(err);
                 }
-                let parsed = parse_cells[owner].get().expect("parse completed");
-                let analysis = analysis_cell.get().expect("analyze completed");
-                let (plan, plan_key) = plan_cell.get().expect("plan completed");
-                let key = rewrite_key_of(&vfs, &parsed.tu, analysis, *plan_key, &source);
-                let stale = {
-                    let map = map.lock().expect("rewrites lock");
-                    match map.get(&source) {
-                        Some(slot) if slot.key == key => {
-                            drop(map);
-                            note(Stage::Rewrite, CacheLookup::Hit, true);
-                            log.lock().expect("run log").rewrites_cached += 1;
-                            return Ok(());
-                        }
-                        existing => existing.is_some(),
-                    }
-                };
-                let lookup = if stale {
-                    CacheLookup::Invalidated
-                } else {
-                    CacheLookup::Miss
-                };
-                note(Stage::Rewrite, lookup, true);
-                let span = yalla_obs::span("engine", "rewrite");
-                let text =
-                    stage_rewrite_one(&vfs, &parsed.tu, plan, &analysis.table, &opts, &source);
-                let dur = span.finish();
-                map.lock().expect("rewrites lock").insert(
-                    source,
-                    Slot {
-                        key,
-                        artifact: Arc::new(text),
-                    },
-                );
-                let mut log = log.lock().expect("run log");
-                log.rewrites_recomputed += 1;
-                log.rewrite_invalidated |= stale;
-                log.rewrite_dur += dur;
-                Ok(())
-            }));
-        }
-
-        let mut verify_deps = vec![emit_id];
-        verify_deps.extend(rewrite_ids.iter().copied());
-        match &warm_verify {
-            Some(v) => {
-                verify_cell.set(Arc::clone(v)).expect("fresh cell");
-                note(Stage::Verify, CacheLookup::Hit, true);
-                yalla_obs::global().instant("engine", "verify (cached)");
-                log.lock().expect("run log").verify = Some((CacheLookup::Hit, Duration::ZERO));
-                dag.cached("verify", &verify_deps);
+                run.result()
             }
-            None => {
-                let (slot, map, vfs, opts, main, parse_cells, plan_cell, emit_cell, cell, log) = (
-                    Arc::clone(&self.verify),
-                    Arc::clone(&self.rewrites),
-                    Arc::clone(&vfs),
-                    Arc::clone(&opts),
-                    main_source.clone(),
-                    Arc::clone(&parse_cells),
-                    Arc::clone(&plan_cell),
-                    Arc::clone(&emit_cell),
-                    Arc::clone(&verify_cell),
-                    Arc::clone(&log),
-                );
-                let (memo, cancel) = (Arc::clone(&self.wrappers_memo), cancel.clone());
-                dag.node("verify", &verify_deps, move || {
-                    if cancel.checkpoint() {
-                        return Err(YallaError::Cancelled);
-                    }
-                    let hashes: Vec<u64> = parse_cells
-                        .iter()
-                        .map(|c| c.get().expect("parse completed").closure_hash)
-                        .collect();
-                    let closure_hash = combined_closure_hash(&hashes);
-                    let (_, plan_key) = plan_cell.get().expect("plan completed");
-                    let emit_art = emit_cell.get().expect("emit completed");
-                    let rewritten: BTreeMap<String, Arc<String>> = {
-                        let map = map.lock().expect("rewrites lock");
-                        opts.sources
-                            .iter()
-                            .map(|s| (s.clone(), Arc::clone(&map[s].artifact)))
-                            .collect()
-                    };
-                    let key = verify_key_of(closure_hash, *plan_key, &opts, emit_art, &rewritten);
-                    let span = yalla_obs::span("engine", "verify");
-                    let (artifact, lookup) = refresh(&slot, key, || {
-                        Ok(stage_verify(
-                            &vfs, &rewritten, emit_art, &opts, &main, &memo,
-                        ))
-                    })?;
-                    let dur = span.finish();
-                    note(Stage::Verify, lookup, true);
-                    let dur = if lookup.is_hit() {
-                        yalla_obs::global().instant("engine", "verify (cached)");
-                        Duration::ZERO
-                    } else {
-                        dur
-                    };
-                    log.lock().expect("run log").verify = Some((lookup, dur));
-                    cell.set(artifact).expect("verify node runs once");
-                    Ok(())
-                });
-            }
-        }
-
-        // ---- run --------------------------------------------------------
-        let run = dag.run_at(exec, priority);
-        if let Some(err) = run.error {
-            // A cancelled run returns only after every in-flight node has
-            // finished (the DAG waits for the whole graph), so no node is
-            // still writing into the stage slots when the caller retries.
-            return Err(err);
-        }
-
-        // ---- assemble the result ----------------------------------------
-        let log = log.lock().expect("run log").clone();
-        let parsed = parse_cells[0].get().expect("parse completed");
-        let closure_hash = combined_closure_hash(
-            &parse_cells
-                .iter()
-                .map(|c| c.get().expect("parse completed").closure_hash)
-                .collect::<Vec<u64>>(),
-        );
-        let (plan, _) = plan_cell.get().expect("plan completed");
-        let emit_art = emit_cell.get().expect("emit completed");
-        let verify_art = verify_cell.get().expect("verify completed");
-
-        let rewrite_lookup = if log.rewrites_recomputed == 0 {
-            yalla_obs::global().instant("engine", "rewrite (cached)");
-            CacheLookup::Hit
-        } else if log.rewrite_invalidated {
-            CacheLookup::Invalidated
-        } else {
-            CacheLookup::Miss
         };
-        let (parse_lookup, parse_dur) = (
-            if log.parse_misses == 0 {
-                CacheLookup::Hit
-            } else if log.parse_invalidated {
-                CacheLookup::Invalidated
-            } else {
-                CacheLookup::Miss
-            },
-            log.parse_dur,
-        );
-        let (analyze_lookup, analyze_dur) = log.analyze.expect("analyze recorded");
-        let (plan_lookup, plan_dur) = log.plan.expect("plan recorded");
-        let (emit_lookup, emit_dur) = log.emit.expect("emit recorded");
-        let (verify_lookup, verify_dur) = log.verify.expect("verify recorded");
-        let stages = vec![
-            StageOutcome {
-                stage: Stage::Parse,
-                lookup: parse_lookup,
-                duration: parse_dur,
-            },
-            StageOutcome {
-                stage: Stage::Analyze,
-                lookup: analyze_lookup,
-                duration: analyze_dur,
-            },
-            StageOutcome {
-                stage: Stage::Plan,
-                lookup: plan_lookup,
-                duration: plan_dur,
-            },
-            StageOutcome {
-                stage: Stage::Emit,
-                lookup: emit_lookup,
-                duration: emit_dur,
-            },
-            StageOutcome {
-                stage: Stage::Rewrite,
-                lookup: rewrite_lookup,
-                duration: log.rewrite_dur,
-            },
-            StageOutcome {
-                stage: Stage::Verify,
-                lookup: verify_lookup,
-                duration: verify_dur,
-            },
-        ];
-        let timings = Timings {
-            parse: parse_dur,
-            analyze: analyze_dur,
-            plan: plan_dur,
-            generate: emit_dur + log.rewrite_dur,
-            verify: verify_dur,
-        };
+
+        // ---- one fold over the run log ----------------------------------
+        let records = std::mem::take(&mut *run.log.lock().expect("run log"));
+        let session_run = fold(result, &records);
 
         // ---- latency telemetry ------------------------------------------
         // Recomputed stages feed the `latency.stage.<stage>` histograms
@@ -1160,12 +910,10 @@ impl Session {
         // they are skipped); one event-log line per stage carries the
         // lookup and duration, joined to the daemon request by the
         // ambient request id this handler thread holds.
-        for outcome in &stages {
+        for outcome in &session_run.stages {
+            let (stage, duration) = (outcome.stage.label(), outcome.duration);
             if !outcome.lookup.is_hit() {
-                yalla_obs::observe(
-                    &yalla_obs::metrics::names::latency_stage(outcome.stage.label()),
-                    outcome.duration,
-                );
+                yalla_obs::observe(&yalla_obs::metrics::names::latency_stage(stage), duration);
             }
             if yalla_obs::log::is_active() {
                 let lookup = match outcome.lookup {
@@ -1173,69 +921,52 @@ impl Session {
                     CacheLookup::Miss => "miss",
                     CacheLookup::Invalidated => "invalidated",
                 };
-                yalla_obs::log::emit(
-                    "stage",
-                    &[
-                        ("stage", outcome.stage.label().into()),
-                        ("lookup", lookup.into()),
-                        (
-                            "dur_us",
-                            yalla_obs::ArgValue::Int(outcome.duration.as_micros() as i64),
-                        ),
-                    ],
-                );
+                let dur_us = duration.as_micros() as i64;
+                let fields = [
+                    ("stage", stage.into()),
+                    ("lookup", lookup.into()),
+                    ("dur_us", dur_us.into()),
+                ];
+                yalla_obs::log::emit("stage", &fields);
             }
         }
-
-        let rewritten: BTreeMap<String, String> = {
-            let map = self.rewrites.lock().expect("rewrites lock");
-            opts.sources
-                .iter()
-                .map(|s| (s.clone(), (*map[s].artifact).clone()))
-                .collect()
-        };
-
-        let mut report = Report::from_plan(plan);
-        report.before = TuStats {
-            loc: parsed.tu.stats.lines_compiled,
-            headers: parsed.tu.stats.header_count(),
-        };
-        report.verification = verify_art.verification.clone();
-        if let Some(after) = verify_art.after {
-            report.after = after;
-        }
-
-        let result = SubstitutionResult {
-            lightweight_header: emit_art.lightweight.clone(),
-            wrappers_file: emit_art.wrappers.clone(),
-            rewritten_sources: rewritten,
-            plan: (**plan).clone(),
-            report,
-            timings,
-        };
 
         // ---- persist the run bundle -------------------------------------
         // Anything that recomputed produces new artifacts worth keeping;
         // a fully-cached run only writes if the bundle has gone missing
         // (evicted, or a sabotaged earlier write). Best-effort by design.
-        if let Some(store) = &self.store {
-            let all_hit = stages.iter().all(|s| s.lookup.is_hit());
-            let run_key = persist::run_key_of(closure_hash, &opts, &vfs);
-            if !(all_hit && store.contains(NS_RUN, run_key)) {
-                if let Some(payload) = persist::encode_run(&result) {
+        if let (Some(store), Some(closure_hash)) = (&self.store, run.closure_hash()) {
+            let run_key = persist::run_key_of(closure_hash, &run.opts, &run.vfs);
+            if !(session_run.fully_cached() && store.contains(NS_RUN, run_key)) {
+                if let Some(payload) = persist::encode_run(&session_run.result) {
                     store.put(NS_RUN, run_key, &payload);
                 }
             }
         }
+        Ok(session_run)
+    }
 
-        Ok(SessionRun {
-            result,
-            stages,
-            files_reparsed: log.files_reparsed,
-            rewrites_recomputed: log.rewrites_recomputed,
-            rewrites_cached: log.rewrites_cached,
-            parse_longest: log.parse_longest,
-        })
+    /// The on-disk run bundle answering this whole run, if the store
+    /// holds one. A validated parse manifest recovers a root's closure
+    /// hash without preprocessing anything, and the closure hash plus
+    /// options plus source hashes addresses the bundle.
+    fn disk_bundle(&self, run: &Run) -> Option<SubstitutionResult> {
+        let store = self.store.as_ref()?;
+        let closure_hash =
+            combined_closure_hash(run.roots.iter().zip(&run.parses).map(|(root, cell)| {
+                match cell.get() {
+                    Some(parsed) => Some(parsed.closure_hash),
+                    None => run
+                        .slots
+                        .parse
+                        .probe_disk(&run.vfs, &run.opts.defines, root),
+                }
+            }))?;
+        let run_key = persist::run_key_of(closure_hash, &run.opts, &run.vfs);
+        // Zero-copy hit: the record is validated once and the bundle
+        // module decodes straight from the payload view.
+        let view = store.get_view(NS_RUN, run_key)?;
+        persist::decode_run(&view)
     }
 }
 
@@ -1253,12 +984,10 @@ impl Session {
 /// nothing. All usage keys name header-side symbols, which the shared
 /// header declares identically in every TU, so resolving the merged
 /// report against the primary table is sound.
-fn stage_analyze(
-    parsed_roots: &[Arc<ParsedTu>],
-    vfs: &Vfs,
-    opts: &Options,
-) -> Result<AnalysisArtifact, YallaError> {
-    let parsed = &parsed_roots[0];
+fn stage_analyze(run: &Run) -> Result<AnalysisArtifact, YallaError> {
+    let (vfs, opts) = (&*run.vfs, &run.opts);
+    let parsed_roots: Vec<&ParsedTu> = run.parses.iter().map(|c| &*done(c).tu).collect();
+    let parsed = parsed_roots[0];
     let header_file = vfs
         .resolve_include(&opts.header, None, false)
         .map_err(|_| YallaError::HeaderNotIncluded(opts.header.clone()))?;
@@ -1355,24 +1084,28 @@ fn stage_plan(analysis: &AnalysisArtifact, opts: &Options) -> Plan {
     plan
 }
 
-/// Rewrites one source file (Fig. 5 lines 26–27, per-source half).
-fn stage_rewrite_one(
-    vfs: &Vfs,
-    parsed: &ParsedTu,
-    plan: &Plan,
-    table: &SymbolTable,
-    opts: &Options,
-    source: &str,
-) -> String {
-    let id = vfs.lookup(source).expect("sources validated");
-    let text = vfs.text(id);
+/// The emit stage: lightweight header + wrappers file.
+fn stage_emit(plan: &Plan, opts: &Options) -> EmitArtifact {
+    EmitArtifact {
+        lightweight: emit::lightweight_header(plan, &opts.header),
+        wrappers: emit::wrappers_file(plan, &opts.header, &opts.lightweight_name),
+    }
+}
+
+/// Rewrites source `i` (Fig. 5 lines 26–27, per-source half).
+fn stage_rewrite(run: &Run, i: usize) -> String {
+    let parsed = run.owner_tu(i).expect("predecessor completed");
+    let id = run
+        .vfs
+        .lookup(&run.opts.sources[i])
+        .expect("sources validated");
     let all_decls: Vec<&yalla_cpp::ast::Decl> = parsed.ast.decls.iter().collect();
-    let mut tr = Transformer::new(plan, table);
+    let mut tr = Transformer::new(done(&run.plan), &done(&run.analysis).table);
     rewrite_file(
         id,
-        text,
-        &opts.header,
-        &opts.lightweight_name,
+        run.vfs.text(id),
+        &run.opts.header,
+        &run.opts.lightweight_name,
         &all_decls,
         &mut tr,
     )
@@ -1381,31 +1114,21 @@ fn stage_rewrite_one(
 /// The verify stage. One parse of the substituted TU feeds the sources
 /// check, the incomplete-type check and the after-statistics; the
 /// wrappers check is reused while `memo` still validates.
-fn stage_verify(
-    vfs: &Vfs,
-    rewritten: &BTreeMap<String, Arc<String>>,
-    emit_art: &EmitArtifact,
-    opts: &Options,
-    main_source: &str,
-    memo: &Mutex<Option<WrappersMemo>>,
-) -> VerifyArtifact {
+fn stage_verify(run: &Run) -> VerifyArtifact {
+    let (opts, emit_art) = (&run.opts, done(&run.emit));
     let inputs = VerifyInputs {
-        original_vfs: vfs,
+        original_vfs: &run.vfs,
         lightweight_name: &opts.lightweight_name,
         lightweight: &emit_art.lightweight,
         wrappers_name: &opts.wrappers_name,
         wrappers: &emit_art.wrappers,
         defines: &opts.defines,
     };
+    // The user TU is dropped before the wrappers check parses the
+    // expensive header.
     let (sources, after) = {
-        let user_tu = inputs
-            .parse_user_tu(
-                rewritten
-                    .iter()
-                    .map(|(path, text)| (path.as_str(), text.as_str())),
-                main_source,
-            )
-            .ok();
+        let rewritten = run.rewritten().expect("rewrites completed");
+        let user_tu = inputs.parse_user_tu(rewritten, &opts.sources[0]).ok();
         let after = user_tu.as_ref().map(|tu| TuStats {
             loc: tu.stats.lines_compiled,
             headers: tu.stats.header_count(),
@@ -1414,7 +1137,7 @@ fn stage_verify(
     };
     let verification = match sources {
         Some(sources) => Verification {
-            wrappers_parse: wrappers_check(&inputs, memo),
+            wrappers_parse: wrappers_check(&inputs, &run.slots.wrappers),
             ..sources
         },
         None => Verification::default(),

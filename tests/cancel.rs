@@ -14,15 +14,20 @@
 //! below genuinely visits every boundary instead of sampling whatever
 //! the scheduler happened to produce.
 
+mod common;
+
 use std::sync::Arc;
 use std::time::Duration;
 
 use yalla::core::persist::decode_run;
 use yalla::core::serve::ServeState;
+use yalla::core::{CacheLookup, SessionRun, Stage};
 use yalla::exec::{CancelToken, Executor, Priority};
 use yalla::obs::json::JsonValue;
 use yalla::store::{Store, NS_RUN};
 use yalla::{Options, Session, SubstitutionResult, Vfs, YallaError};
+
+use common::append;
 
 /// A deliberately small project — two translation units over one header —
 /// so the boundary sweep below (every checkpoint × every worker count)
@@ -32,7 +37,7 @@ fn small_project() -> (Options, Vfs) {
     let mut vfs = Vfs::new();
     vfs.add_file(
         "rc.hpp",
-        "namespace rc { class Widget { public: int id() const; int scale(int k) const; }; }\n",
+        "namespace rc { class Widget { public: int id() const; int scale(int k) const; int size() const; }; }\n",
     );
     vfs.add_file(
         "a.cpp",
@@ -76,26 +81,39 @@ fn boundary_count(options: &Options, vfs: &Vfs) -> u64 {
     token.checkpoints()
 }
 
-#[test]
-fn cancellation_at_every_boundary_leaves_artifacts_byte_identical() {
+type Edit = fn(&mut Session);
+
+/// A session over the small project, ready for the measured run: cold
+/// when `edit` is `None`, otherwise warmed by one run and then edited.
+fn prepared(exec: &Executor, edit: Option<Edit>) -> Session {
     let (options, vfs) = small_project();
-    let baseline = {
+    let mut session = Session::new(options, vfs);
+    if let Some(edit) = edit {
+        session.rerun_on(exec).expect("warm-up run");
+        edit(&mut session);
+    }
+    session
+}
+
+/// Cancels the prepared run at every checkpoint it passes, on 1, 2 and 8
+/// workers. Recovery on the same session must be byte-identical to an
+/// uncancelled run, and the rerun after it fully cached. Returns the
+/// number of boundaries swept and the uncancelled run.
+fn sweep_every_boundary(edit: Option<Edit>) -> (u64, SessionRun) {
+    let (clean, boundaries) = {
         let exec = Executor::new(1);
-        let mut session = Session::new(options.clone(), vfs.clone());
-        fingerprint(&session.rerun_on(&exec).expect("clean run").result)
+        let mut session = prepared(&exec, edit);
+        let token = CancelToken::new();
+        let run = session
+            .rerun_with(&exec, &token, Priority::Interactive)
+            .expect("clean run");
+        (run, token.checkpoints())
     };
-    let boundaries = boundary_count(&options, &vfs);
-    // Entry + store boundary + one checkpoint per live node (parse,
-    // analyze, plan, emit, one per rewritten source, verify): 2 + 4 +
-    // 2 + 1 for this two-source project.
-    assert_eq!(
-        boundaries, 9,
-        "expected 9 cancel points for a two-source cold run"
-    );
+    let baseline = fingerprint(&clean.result);
     for workers in [1usize, 2, 8] {
         let exec = Executor::new(workers);
         for boundary in 1..=boundaries {
-            let mut session = Session::new(options.clone(), vfs.clone());
+            let mut session = prepared(&exec, edit);
             let token = CancelToken::new();
             token.trip_after(boundary);
             match session.rerun_with(&exec, &token, Priority::Interactive) {
@@ -128,6 +146,54 @@ fn cancellation_at_every_boundary_leaves_artifacts_byte_identical() {
             );
         }
     }
+    (boundaries, clean)
+}
+
+#[test]
+fn cancellation_at_every_boundary_leaves_artifacts_byte_identical() {
+    // Entry + store boundary + one checkpoint per live node (parse,
+    // analyze, plan, emit, one per rewritten source, verify): 2 + 4 +
+    // 2 + 1 for this two-source project.
+    assert_eq!(
+        sweep_every_boundary(None).0,
+        9,
+        "expected 9 cancel points for a two-source cold run"
+    );
+}
+
+/// Warm edits mix cached and live nodes: a comment on `a.cpp` re-parses
+/// and re-analyzes, and plan and emit re-run as live nodes that hit.
+#[test]
+fn cancellation_during_a_warm_comment_edit_leaves_artifacts_byte_identical() {
+    let (boundaries, clean) = sweep_every_boundary(Some(|s| append(s, "a.cpp", "// tweak")));
+    assert_eq!(
+        boundaries, 9,
+        "every stage is a live node after a parse miss"
+    );
+    assert!(
+        clean.outcome(Stage::Plan).is_hit(),
+        "{}",
+        clean.summary_line()
+    );
+}
+
+/// Used-set growth: `a.cpp` starts calling a method no source used, so
+/// plan and emit recompute too.
+#[test]
+fn cancellation_during_used_set_growth_leaves_artifacts_byte_identical() {
+    let (boundaries, clean) = sweep_every_boundary(Some(|s| {
+        append(s, "a.cpp", "int grow_a(rc::Widget& w) { return w.size(); }")
+    }));
+    assert_eq!(
+        boundaries, 9,
+        "every stage is a live node after a parse miss"
+    );
+    assert_eq!(
+        clean.outcome(Stage::Plan),
+        CacheLookup::Invalidated,
+        "{}",
+        clean.summary_line()
+    );
 }
 
 #[test]

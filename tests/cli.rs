@@ -368,6 +368,66 @@ fn cli_event_log_writes_joinable_jsonl() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A fresh process answered from the on-disk run bundle still writes one
+/// event-log line per stage, each a hit.
+#[test]
+fn cli_disk_warm_run_logs_every_stage_as_a_hit() {
+    use yalla::obs::json;
+
+    let dir = scratch("diskwarm-log");
+    std::fs::write(
+        dir.join("include/lib.hpp"),
+        "#pragma once\nnamespace E {\nclass Thing {\npublic:\n  int id() const;\n};\n}\n",
+    )
+    .unwrap();
+    std::fs::write(
+        dir.join("app.cpp"),
+        "#include <lib.hpp>\nint f(E::Thing& t) { return t.id(); }\n",
+    )
+    .unwrap();
+    let run = |log: &str| {
+        let out = Command::new(bin())
+            .current_dir(&dir)
+            .args([
+                "--header",
+                "lib.hpp",
+                "--include-dir",
+                "include",
+                "--out-dir",
+                "out",
+                "--cache-dir",
+                "cache",
+                "--event-log",
+                log,
+                "app.cpp",
+            ])
+            .output()
+            .expect("cli runs");
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        std::fs::read_to_string(dir.join(log)).unwrap()
+    };
+    run("cold.jsonl");
+    let log = run("warm.jsonl");
+    let stages: Vec<json::JsonValue> = log
+        .lines()
+        .map(|line| json::parse(line).expect("every event-log line is valid JSON"))
+        .filter(|v| v.get("kind").and_then(|k| k.as_str()) == Some("stage"))
+        .collect();
+    assert_eq!(stages.len(), 6, "one line per stage, got:\n{log}");
+    for v in &stages {
+        assert_eq!(
+            v.get("lookup").and_then(|l| l.as_str()),
+            Some("hit"),
+            "disk-warm stage must hit: {log}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// `yalla stat <socket>` scrapes a live daemon: the output is Prometheus
 /// text exposition, and a second scrape includes the latency summary for
 /// the first scrape's own `metrics` request.

@@ -18,7 +18,6 @@
 
 pub mod aliases;
 pub mod incomplete;
-pub mod matchers;
 pub mod symbols;
 pub mod usage;
 

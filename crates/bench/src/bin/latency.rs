@@ -1,7 +1,8 @@
 //! Client-observed request latency per request class (`yalla serve`).
 //!
-//! Drives a `yalla serve` daemon over its real Unix socket and measures
-//! what a *client* waits per request — not the server-side stage spans —
+//! Drives a `yalla serve` daemon over its real Unix socket through the
+//! shared load driver ([`yalla_bench::daemon`]) and measures what a
+//! *client* waits per request — not the server-side stage spans —
 //! classified by request class (`open`, `edit`, `rerun`, `get`,
 //! `status`). Each client walks its share of the corpus subjects through
 //! the development cycle: one `open` (cold pipeline), then steady-state
@@ -12,7 +13,11 @@
 //! Two configurations run back to back, cold each time:
 //!
 //! * **clients1** — 1 client, 1 executor worker (no contention);
-//! * **clients8** — 8 clients, 8 executor workers (contended tails).
+//! * **clients8** — 8 executor workers and up to 8 clients (contended
+//!   tails). Subjects are dealt round-robin to 8 client slots and a slot
+//!   with no subject runs no client, so fewer than 8 subjects (e.g.
+//!   `--subjects 3`) means one client per subject. The label stays
+//!   `clients8` either way; the pass line prints the real client count.
 //!
 //! Per configuration the samples feed the same log-bucketed histograms
 //! the daemon exports (`yalla_obs::Histogram`), and the report prints
@@ -38,175 +43,53 @@ fn main() {
 #[cfg(unix)]
 mod imp {
     use std::collections::BTreeMap;
-    use std::os::unix::net::UnixStream;
-    use std::path::{Path, PathBuf};
-    use std::time::Instant;
+    use std::path::PathBuf;
 
+    use yalla_bench::daemon::{run_pass, split, Class, Workload};
     use yalla_bench::results::{write_records, RunRecord};
     use yalla_bench::slo::Slo;
-    use yalla_core::serve::{client_request, Server};
-    use yalla_corpus::{all_subjects, Subject};
-    use yalla_exec::Executor;
-    use yalla_obs::chrome::escape_json;
-    use yalla_obs::json::JsonValue;
-    use yalla_obs::{Histogram, HistogramSnapshot};
+    use yalla_corpus::all_subjects;
+    use yalla_obs::Histogram;
 
     /// Steady-state `edit`→`rerun` pairs per subject (after the cold open).
     const ITERATIONS: usize = 8;
     /// Artifact `get` requests per subject.
     const GETS: usize = 4;
-    /// Clients (and workers) in the contended configuration.
+    /// Client slots (and workers) in the contended configuration.
     const FLEET: usize = 8;
 
     const USAGE: &str =
         "usage: latency [--subjects N] [--slo <slo.toml>] [--event-log <OUT.jsonl>]";
 
-    /// One measured request: subject, request class, client-observed µs.
-    type Sample = (&'static str, &'static str, u64);
-
-    struct Workload {
-        subject: &'static str,
-        /// `(class, request-line)` in script order.
-        script: Vec<(&'static str, String)>,
-    }
-
-    fn workload(subject: &Subject) -> Workload {
-        let mut files = Vec::new();
-        for (id, _) in subject.vfs.iter() {
-            files.push(format!(
-                "\"{}\": \"{}\"",
-                escape_json(subject.vfs.path(id)),
-                escape_json(subject.vfs.text(id))
-            ));
-        }
-        let sources: Vec<String> = subject.sources.iter().map(|s| format!("\"{s}\"")).collect();
-        let mut script = vec![(
-            "open",
-            format!(
-                "{{\"op\": \"open\", \"project\": \"{}\", \"header\": \"{}\", \
-                 \"sources\": [{}], \"files\": {{{}}}}}",
-                subject.name,
-                escape_json(&subject.header),
-                sources.join(", "),
-                files.join(", ")
-            ),
-        )];
-        let main_id = subject
-            .vfs
-            .lookup(&subject.main_source)
-            .unwrap_or_else(|| panic!("{}: no main source", subject.name));
-        // Same-content edits: §6's common case, so warm reruns revalidate.
-        let main_text = subject.vfs.text(main_id).to_string();
-        let rerun = format!("{{\"op\": \"rerun\", \"project\": \"{}\"}}", subject.name);
+    /// Each subject's requests: open, edit/rerun pairs, gets, status.
+    pub(super) fn script() -> Vec<Class> {
+        let mut script = vec![Class::Open];
         for _ in 0..ITERATIONS {
-            script.push((
-                "edit",
-                format!(
-                    "{{\"op\": \"edit\", \"project\": \"{}\", \"path\": \"{}\", \"text\": \"{}\"}}",
-                    subject.name,
-                    escape_json(&subject.main_source),
-                    escape_json(&main_text)
-                ),
-            ));
-            script.push(("rerun", rerun.clone()));
+            script.extend([Class::Edit, Class::Rerun]);
         }
-        for _ in 0..GETS {
-            script.push((
-                "get",
-                format!(
-                    "{{\"op\": \"get\", \"project\": \"{}\", \"artifact\": \"lightweight\"}}",
-                    subject.name
-                ),
-            ));
-        }
-        script.push(("status", "{\"op\": \"status\"}".to_string()));
-        Workload {
-            subject: subject.name,
-            script,
-        }
+        script.extend([Class::Get; GETS]);
+        script.push(Class::Status);
+        script
     }
 
-    fn connect(path: &Path) -> UnixStream {
-        for _ in 0..200 {
-            if let Ok(s) = UnixStream::connect(path) {
-                return s;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(10));
-        }
-        panic!("could not connect to {}", path.display());
-    }
+    /// Latency histograms per request class.
+    type Classes = BTreeMap<&'static str, Histogram>;
 
-    /// Runs one client's scripts; every request becomes one [`Sample`].
-    fn run_client(socket: &Path, group: &[Workload]) -> Vec<Sample> {
-        let mut stream = connect(socket);
-        let mut samples = Vec::new();
-        for w in group {
-            for (class, request) in &w.script {
-                let start = Instant::now();
-                let r = client_request(&mut stream, request)
-                    .unwrap_or_else(|e| panic!("{}: {e}", w.subject));
-                let us = start.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
-                assert!(
-                    r.get("ok") == Some(&JsonValue::Bool(true)),
-                    "{}: rejected: {r:?}",
-                    w.subject
-                );
-                samples.push((w.subject, *class, us));
-            }
-        }
-        samples
-    }
-
-    /// One full cold pass: fresh daemon, `workers` executor workers, one
-    /// client thread per group.
-    fn run_config(tag: &str, workers: usize, groups: Vec<Vec<Workload>>) -> Vec<Sample> {
-        let socket =
-            std::env::temp_dir().join(format!("yalla-latency-{tag}-{}.sock", std::process::id()));
-        let server = Server::start(&socket, Executor::new(workers)).expect("start daemon");
-        let mut handles = Vec::new();
-        for group in groups {
-            let socket = socket.clone();
-            handles.push(std::thread::spawn(move || run_client(&socket, &group)));
-        }
-        let mut samples = Vec::new();
-        for handle in handles {
-            samples.extend(handle.join().expect("client thread"));
-        }
-        let mut stream = connect(&socket);
-        let _ = client_request(&mut stream, "{\"op\": \"shutdown\"}");
-        server.join();
-        samples
-    }
-
-    /// Round-robin split into `n` client groups.
-    fn split(loads: Vec<Workload>, n: usize) -> Vec<Vec<Workload>> {
-        let mut groups: Vec<Vec<Workload>> = (0..n).map(|_| Vec::new()).collect();
-        for (i, load) in loads.into_iter().enumerate() {
-            groups[i % n].push(load);
-        }
-        groups.retain(|g| !g.is_empty());
-        groups
-    }
-
-    /// Histograms per key, fed from samples.
-    fn histograms(
-        samples: &[Sample],
-        key: impl Fn(&Sample) -> String,
-    ) -> BTreeMap<String, HistogramSnapshot> {
-        let mut hists: BTreeMap<String, Histogram> = BTreeMap::new();
-        for sample in samples {
-            hists.entry(key(sample)).or_default().record(sample.2);
-        }
-        hists.into_iter().map(|(k, h)| (k, h.snapshot())).collect()
-    }
-
-    fn quantile_entries(class: &str, snap: &HistogramSnapshot) -> Vec<(String, f64)> {
-        vec![
-            (format!("{class}.p50"), snap.quantile(0.50) as f64),
-            (format!("{class}.p95"), snap.quantile(0.95) as f64),
-            (format!("{class}.p99"), snap.quantile(0.99) as f64),
-            (format!("{class}.count"), snap.count as f64),
-        ]
+    /// P50/P95/P99 and count per class, as `<class>.<stat>` entries.
+    fn quantile_entries(hists: &Classes) -> Vec<(String, f64)> {
+        hists
+            .iter()
+            .flat_map(|(class, hist)| {
+                let snap = hist.snapshot();
+                [
+                    ("p50", snap.quantile(0.50) as f64),
+                    ("p95", snap.quantile(0.95) as f64),
+                    ("p99", snap.quantile(0.99) as f64),
+                    ("count", snap.count as f64),
+                ]
+                .map(|(stat, v)| (format!("{class}.{stat}"), v))
+            })
+            .collect()
     }
 
     pub(super) fn main() {
@@ -245,12 +128,20 @@ mod imp {
 
         let subjects = all_subjects();
         let take = subjects_cap.unwrap_or(subjects.len()).min(subjects.len());
-        let build = || subjects.iter().take(take).map(workload).collect::<Vec<_>>();
+        let loads: Vec<Workload> = subjects
+            .iter()
+            .take(take)
+            .map(|s| Workload::new(s, None, script()))
+            .collect();
 
         println!("clients1 pass (1 client, 1 worker, {take} subject(s))...");
-        let seq = run_config("seq", 1, vec![build()]);
-        println!("clients8 pass ({FLEET} clients, {FLEET} workers, {take} subject(s))...");
-        let par = run_config("par", FLEET, split(build(), FLEET));
+        let seq = run_pass("latency-seq", 1, &[loads.iter().collect()]);
+        let groups = split(&loads, FLEET, |_| 1.0);
+        println!(
+            "clients8 pass ({} client(s), {FLEET} workers, {take} subject(s))...",
+            groups.len()
+        );
+        let par = run_pass("latency-par", FLEET, &groups);
 
         let mut records = Vec::new();
         let mut measured = Vec::new();
@@ -258,12 +149,18 @@ mod imp {
             "\n{:<10} {:<9} {:>7} {:>12} {:>12} {:>12}",
             "config", "class", "count", "p50 (us)", "p95 (us)", "p99 (us)"
         );
-        for (config, samples) in [("clients1", &seq), ("clients8", &par)] {
-            // Corpus-wide per-class aggregates: the printed table, the
-            // `corpus` records, and the SLO gate.
-            let by_class = histograms(samples, |s| s.1.to_string());
-            let mut corpus_entries = Vec::new();
-            for (class, snap) in &by_class {
+        for (config, pass) in [("clients1", &seq), ("clients8", &par)] {
+            // Per-class histograms over the whole corpus (the printed
+            // table, the `corpus` record and the SLO gate) and per subject.
+            let mut corpus = Classes::new();
+            let mut subjects: BTreeMap<&str, Classes> = BTreeMap::new();
+            for s in &pass.samples {
+                for hists in [&mut corpus, subjects.entry(s.subject).or_default()] {
+                    hists.entry(s.class.name()).or_default().record(s.us);
+                }
+            }
+            for (class, hist) in &corpus {
+                let snap = hist.snapshot();
                 println!(
                     "{config:<10} {class:<9} {:>7} {:>12} {:>12} {:>12}",
                     snap.count,
@@ -271,29 +168,15 @@ mod imp {
                     snap.quantile(0.95),
                     snap.quantile(0.99)
                 );
-                corpus_entries.extend(quantile_entries(class, snap));
-                measured.push((class.clone(), config.to_string(), snap.quantile(0.99)));
+                measured.push((class.to_string(), config.to_string(), snap.quantile(0.99)));
             }
-            records.push(RunRecord {
-                subject: "corpus".to_string(),
-                config: config.to_string(),
-                phase_us: corpus_entries,
-            });
-            // Per-subject per-class quantiles.
-            let by_subject_class = histograms(samples, |s| format!("{}\u{0}{}", s.0, s.1));
-            let mut per_subject: BTreeMap<String, Vec<(String, f64)>> = BTreeMap::new();
-            for (key, snap) in &by_subject_class {
-                let (subject, class) = key.split_once('\u{0}').expect("joined key");
-                per_subject
-                    .entry(subject.to_string())
-                    .or_default()
-                    .extend(quantile_entries(class, snap));
-            }
-            for (subject, entries) in per_subject {
+            for (subject, hists) in
+                std::iter::once(("corpus", &corpus)).chain(subjects.iter().map(|(s, h)| (*s, h)))
+            {
                 records.push(RunRecord {
-                    subject,
+                    subject: subject.to_string(),
                     config: config.to_string(),
-                    phase_us: entries,
+                    phase_us: quantile_entries(hists),
                 });
             }
         }
@@ -317,5 +200,30 @@ mod imp {
                 measured.len()
             );
         }
+    }
+}
+
+#[cfg(all(test, unix))]
+mod tests {
+    use yalla_bench::daemon::Class;
+
+    #[test]
+    fn script_is_open_eight_edit_reruns_four_gets_and_status() {
+        let script = super::imp::script();
+        let count = |class| script.iter().filter(|c| **c == class).count();
+        assert_eq!(
+            [
+                Class::Open,
+                Class::Edit,
+                Class::Rerun,
+                Class::Get,
+                Class::Status
+            ]
+            .map(count),
+            [1, 8, 8, 4, 1]
+        );
+        assert_eq!(script.len(), 22);
+        assert_eq!(script[0], Class::Open);
+        assert_eq!(script[1..17], [Class::Edit, Class::Rerun].repeat(8));
     }
 }

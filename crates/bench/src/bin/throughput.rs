@@ -1,12 +1,13 @@
 //! Daemon throughput under concurrent clients (`yalla serve`).
 //!
-//! Drives one `yalla serve` daemon over its real Unix socket with K
-//! synthetic clients, each iterating the paper's development cycle over
-//! its share of the 18 corpus subjects: open the project, one cold
-//! rerun (the full pipeline), then steady-state edit→rerun iterations —
-//! edits that leave the substitution inputs unchanged, the paper's §6
-//! common case, so the warm session revalidates in milliseconds. Every
-//! rerun carries the subject's *modeled build latency* — the simulator's
+//! Drives one `yalla serve` daemon over its real Unix socket through the
+//! shared load driver ([`yalla_bench::daemon`]) with K synthetic
+//! clients, each iterating the paper's development cycle over its share
+//! of the 18 corpus subjects: open the project, one cold rerun (the full
+//! pipeline), then steady-state edit→rerun iterations — edits that leave
+//! the substitution inputs unchanged, the paper's §6 common case, so the
+//! warm session revalidates in milliseconds. Every rerun carries the
+//! subject's *modeled build latency* — the simulator's
 //! default-configuration compile time for that TU, injected as a real
 //! sleep inside the rerun task — so an iteration costs what it costs the
 //! developer: the tool run plus the client-blocking compile.
@@ -17,7 +18,8 @@
 //! * **sequential** — 1 client, 1 executor worker: every build serializes,
 //!   the classic one-developer-at-a-time baseline;
 //! * **parallel8** — 8 clients, 8 executor workers: reruns overlap, the
-//!   executor schedules them across workers.
+//!   executor schedules them across workers. Subjects go heaviest first
+//!   to the client with the least modeled work so far.
 //!
 //! The report compares measured wall-clock against the list-scheduling
 //! model ([`yalla_sim::concurrent_makespan`]) over the per-subject
@@ -35,16 +37,12 @@ fn main() {
 
 #[cfg(unix)]
 mod imp {
-    use std::os::unix::net::UnixStream;
-    use std::path::{Path, PathBuf};
-    use std::time::Instant;
+    use std::collections::BTreeMap;
+    use std::path::PathBuf;
 
+    use yalla_bench::daemon::{run_pass, split, Class, Pass, Workload};
     use yalla_bench::results::{write_records, RunRecord};
-    use yalla_core::serve::{client_request, Server};
-    use yalla_corpus::{all_subjects, Subject};
-    use yalla_exec::Executor;
-    use yalla_obs::chrome::escape_json;
-    use yalla_obs::json::JsonValue;
+    use yalla_corpus::all_subjects;
     use yalla_sim::build::compile_default;
     use yalla_sim::{concurrent_makespan, CompilerProfile};
 
@@ -56,180 +54,21 @@ mod imp {
     /// Clients (and workers) in the parallel configuration.
     const FLEET: usize = 8;
 
-    struct Workload {
-        subject: &'static str,
-        open: String,
-        rerun: String,
-        /// The edited main-source text of each iteration.
-        edits: Vec<String>,
-        /// Injected per-rerun build latency (µs).
-        latency_us: f64,
+    /// Each subject's requests: open, then edit/rerun pairs.
+    pub(super) fn script() -> Vec<Class> {
+        let mut script = vec![Class::Open];
+        for _ in 0..ITERATIONS {
+            script.extend([Class::Edit, Class::Rerun]);
+        }
+        script
     }
 
-    fn workload(subject: &Subject, latency_ms: f64) -> Workload {
-        let latency_us = latency_ms * 1_000.0;
-        let mut files = Vec::new();
-        for (id, _) in subject.vfs.iter() {
-            files.push(format!(
-                "\"{}\": \"{}\"",
-                escape_json(subject.vfs.path(id)),
-                escape_json(subject.vfs.text(id))
-            ));
-        }
-        let sources: Vec<String> = subject.sources.iter().map(|s| format!("\"{s}\"")).collect();
-        let open = format!(
-            "{{\"op\": \"open\", \"project\": \"{}\", \"header\": \"{}\", \
-             \"sources\": [{}], \"files\": {{{}}}, \"build_latency_us\": {latency_us}}}",
-            subject.name,
-            escape_json(&subject.header),
-            sources.join(", "),
-            files.join(", ")
-        );
-        let main_id = subject
-            .vfs
-            .lookup(&subject.main_source)
-            .unwrap_or_else(|| panic!("{}: no main source", subject.name));
-        // Steady-state edits: the file is rewritten with unchanged
-        // content (the stand-in for an edit that does not alter the
-        // substitution inputs — §6's common case), so the warm rerun
-        // revalidates its caches instead of recomputing, and the
-        // injected compile latency dominates the iteration exactly as
-        // the real compile dominates the developer's.
-        let main_text = subject.vfs.text(main_id).to_string();
-        let edits = (1..=ITERATIONS)
-            .map(|_| {
-                format!(
-                    "{{\"op\": \"edit\", \"project\": \"{}\", \"path\": \"{}\", \"text\": \"{}\"}}",
-                    subject.name,
-                    escape_json(&subject.main_source),
-                    escape_json(&main_text)
-                )
-            })
-            .collect();
-        Workload {
-            subject: subject.name,
-            open,
-            rerun: format!("{{\"op\": \"rerun\", \"project\": \"{}\"}}", subject.name),
-            edits,
-            latency_us,
-        }
+    /// A subject's modeled build time over all its reruns (µs).
+    fn modeled_us(w: &Workload) -> f64 {
+        w.build_latency_us().unwrap_or(0.0) * ITERATIONS as f64
     }
 
-    /// Runs one client's script over its share of the corpus; returns
-    /// each subject's wall-clock (open + all iterations), in µs, plus
-    /// how many of its reruns recomputed a stage (all but the cold one
-    /// should be fully cached — the steady-state premise).
-    fn run_client(socket: &Path, group: &[Workload]) -> Vec<(String, f64, usize)> {
-        let verbose = std::env::var("THROUGHPUT_TRACE").is_ok();
-        let mut stream = connect(socket);
-        let mut walls = Vec::with_capacity(group.len());
-        for w in group {
-            let start = Instant::now();
-            let mut recomputed = 0usize;
-            for request in std::iter::once(&w.open)
-                .chain((0..ITERATIONS).flat_map(|i| [&w.edits[i], &w.rerun]))
-            {
-                let req_start = Instant::now();
-                let r = client_request(&mut stream, request)
-                    .unwrap_or_else(|e| panic!("{}: {e}", w.subject));
-                if verbose {
-                    let op = &request[9..request[9..].find('"').map_or(6, |i| i + 9)];
-                    println!(
-                        "    {} {op}: {:.1} ms",
-                        w.subject,
-                        req_start.elapsed().as_secs_f64() * 1e3
-                    );
-                }
-                assert!(
-                    r.get("ok") == Some(&JsonValue::Bool(true)),
-                    "{}: rejected: {r:?}",
-                    w.subject
-                );
-                if r.get("fully_cached") == Some(&JsonValue::Bool(false)) {
-                    recomputed += 1;
-                }
-            }
-            walls.push((
-                w.subject.to_string(),
-                start.elapsed().as_secs_f64() * 1e6,
-                recomputed,
-            ));
-        }
-        walls
-    }
-
-    /// (utime, stime) of this process in seconds, from `/proc/self/stat`
-    /// (0.0 on platforms without procfs) — separates real compute from
-    /// kernel-side scheduling overhead in the pass reports.
-    fn cpu_times() -> (f64, f64) {
-        let Ok(stat) = std::fs::read_to_string("/proc/self/stat") else {
-            return (0.0, 0.0);
-        };
-        // Fields 14/15 (1-based), counted after the parenthesized comm.
-        let Some(rest) = stat.rsplit(") ").next() else {
-            return (0.0, 0.0);
-        };
-        let fields: Vec<&str> = rest.split_whitespace().collect();
-        let tick = 100.0; // USER_HZ on every Linux this runs on
-        let get = |i: usize| {
-            fields
-                .get(i)
-                .and_then(|f| f.parse::<f64>().ok())
-                .unwrap_or(0.0)
-        };
-        (get(11) / tick, get(12) / tick)
-    }
-
-    fn connect(path: &Path) -> UnixStream {
-        for _ in 0..200 {
-            if let Ok(s) = UnixStream::connect(path) {
-                return s;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(10));
-        }
-        panic!("could not connect to {}", path.display());
-    }
-
-    /// One full cold corpus pass: fresh daemon, `workers` executor
-    /// workers, one client thread per group. Returns (total wall µs,
-    /// per-subject µs sorted by name).
-    fn run_config(
-        tag: &str,
-        workers: usize,
-        groups: Vec<Vec<Workload>>,
-    ) -> (f64, Vec<(String, f64, usize)>) {
-        let socket = std::env::temp_dir().join(format!(
-            "yalla-throughput-{tag}-{}.sock",
-            std::process::id()
-        ));
-        let server = Server::start(&socket, Executor::new(workers)).expect("start daemon");
-        let (user0, sys0) = cpu_times();
-        let start = Instant::now();
-        let mut handles = Vec::new();
-        for group in groups {
-            let socket = socket.clone();
-            handles.push(std::thread::spawn(move || run_client(&socket, &group)));
-        }
-        let mut walls = Vec::new();
-        for handle in handles {
-            walls.extend(handle.join().expect("client thread"));
-        }
-        let total_us = start.elapsed().as_secs_f64() * 1e6;
-        let (user1, sys1) = cpu_times();
-        let recomputed: usize = walls.iter().map(|w| w.2).sum();
-        println!(
-            "  {tag}: wall {:.2} s, user {:.2} s, sys {:.2} s, {recomputed} rerun(s) recomputed a stage",
-            total_us / 1e6,
-            user1 - user0,
-            sys1 - sys0
-        );
-        let mut stream = connect(&socket);
-        let _ = client_request(&mut stream, "{\"op\": \"shutdown\"}");
-        server.join();
-        walls.sort_by(|a, b| a.0.cmp(&b.0));
-        (total_us, walls)
-    }
-
+    /// Every subject's workload, heaviest modeled build first.
     fn build_workloads() -> Vec<Workload> {
         let profile = CompilerProfile::clang();
         let mut loads: Vec<Workload> = all_subjects()
@@ -237,41 +76,50 @@ mod imp {
             .map(|s| {
                 let compiled = compile_default(&s.vfs, &s.main_source, &profile, &[])
                     .unwrap_or_else(|e| panic!("{}: sim compile: {e}", s.name));
-                workload(s, compiled.phases.total_ms())
+                Workload::new(s, Some(compiled.phases.total_ms() * 1_000.0), script())
             })
             .collect();
-        // Heaviest first, so the greedy group assignment below balances.
-        loads.sort_by(|a, b| b.latency_us.total_cmp(&a.latency_us));
+        loads.sort_by(|a, b| modeled_us(b).total_cmp(&modeled_us(a)));
         loads
     }
 
-    /// Greedy balance into `n` groups by modeled chain cost.
-    fn split(loads: Vec<Workload>, n: usize) -> Vec<Vec<Workload>> {
-        let mut groups: Vec<(f64, Vec<Workload>)> = (0..n).map(|_| (0.0, Vec::new())).collect();
-        for load in loads {
-            let lightest = groups
-                .iter_mut()
-                .min_by(|a, b| a.0.total_cmp(&b.0))
-                .expect("n > 0");
-            lightest.0 += load.latency_us * ITERATIONS as f64;
-            lightest.1.push(load);
+    /// Prints the pass line and returns each subject's wall-clock (open
+    /// plus all iterations, µs) and how many of its reruns recomputed a
+    /// stage (all but the cold one should be fully cached — the
+    /// steady-state premise), keyed by subject name.
+    fn per_subject(tag: &str, pass: &Pass) -> BTreeMap<&'static str, (f64, usize)> {
+        println!(
+            "  {tag}: wall {:.2} s, user {:.2} s, sys {:.2} s, {} rerun(s) recomputed a stage",
+            pass.wall_us / 1e6,
+            pass.user_s,
+            pass.sys_s,
+            pass.recomputed()
+        );
+        let mut walls: BTreeMap<&'static str, (f64, usize)> = BTreeMap::new();
+        for s in &pass.samples {
+            let entry = walls.entry(s.subject).or_default();
+            entry.0 += s.us as f64;
+            entry.1 += usize::from(s.recomputed());
         }
-        groups.into_iter().map(|(_, g)| g).collect()
+        walls
     }
 
     pub(super) fn main() {
         let loads = build_workloads();
-        let modeled: Vec<f64> = loads
-            .iter()
-            .map(|w| w.latency_us * ITERATIONS as f64 / 1e3)
-            .collect();
+        let modeled: Vec<f64> = loads.iter().map(|w| modeled_us(w) / 1e3).collect();
 
         println!("sequential pass (1 client, 1 worker)...");
-        let (seq_total, seq_walls) = run_config("seq", 1, vec![build_workloads()]);
+        let seq = run_pass("throughput-seq", 1, &[loads.iter().collect()]);
+        let seq_walls = per_subject("seq", &seq);
         println!("parallel pass ({FLEET} clients, {FLEET} workers)...");
-        let (par_total, par_walls) = run_config("par", FLEET, split(loads, FLEET));
+        let par = run_pass(
+            "throughput-par",
+            FLEET,
+            &split(&loads, FLEET, |w| modeled_us(w)),
+        );
+        let par_walls = per_subject("par", &par);
 
-        let speedup = seq_total / par_total;
+        let speedup = seq.wall_us / par.wall_us;
         let modeled_speedup = modeled.iter().sum::<f64>() / concurrent_makespan(&modeled, FLEET);
         println!(
             "modeled sleep total {:.2} s (chains of {} iterations)",
@@ -283,7 +131,7 @@ mod imp {
             "subject", "seq (ms)", "par8 (ms)", "recomputed"
         );
         let mut records = Vec::new();
-        for ((name, seq_us, seq_rec), (par_name, par_us, par_rec)) in
+        for ((name, (seq_us, seq_rec)), (par_name, (par_us, par_rec))) in
             seq_walls.iter().zip(&par_walls)
         {
             assert_eq!(name, par_name);
@@ -296,7 +144,7 @@ mod imp {
             );
             for (config, us) in [("sequential", seq_us), ("parallel8", par_us)] {
                 records.push(RunRecord {
-                    subject: name.clone(),
+                    subject: name.to_string(),
                     config: config.to_string(),
                     phase_us: vec![("wall".to_string(), *us)],
                 });
@@ -305,19 +153,19 @@ mod imp {
         println!(
             "\ncorpus total: sequential {:.2} s, parallel8 {:.2} s — speedup {speedup:.2}x \
              (sleep-only list-scheduling model: {modeled_speedup:.2}x)",
-            seq_total / 1e6,
-            par_total / 1e6
+            seq.wall_us / 1e6,
+            par.wall_us / 1e6
         );
         records.push(RunRecord {
             subject: "corpus".to_string(),
             config: "sequential".to_string(),
-            phase_us: vec![("wall".to_string(), seq_total)],
+            phase_us: vec![("wall".to_string(), seq.wall_us)],
         });
         records.push(RunRecord {
             subject: "corpus".to_string(),
             config: "parallel8".to_string(),
             phase_us: vec![
-                ("wall".to_string(), par_total),
+                ("wall".to_string(), par.wall_us),
                 ("speedup_x1000".to_string(), speedup * 1e3),
                 ("modeled_speedup_x1000".to_string(), modeled_speedup * 1e3),
             ],
@@ -330,5 +178,18 @@ mod imp {
             speedup >= 3.0,
             "parallel daemon must beat the sequential baseline by >= 3x, got {speedup:.2}x"
         );
+    }
+}
+
+#[cfg(all(test, unix))]
+mod tests {
+    use yalla_bench::daemon::Class;
+
+    #[test]
+    fn script_is_open_then_ten_edit_reruns() {
+        let script = super::imp::script();
+        let mut expected = vec![Class::Open];
+        expected.extend([Class::Edit, Class::Rerun].repeat(10));
+        assert_eq!(script, expected);
     }
 }

@@ -11,7 +11,6 @@ use yalla_corpus::{runtime, KernelSpec, Subject};
 use yalla_cpp::vfs::Vfs;
 use yalla_sim::build::{build_pch, compile_default, compile_using_pch, CompiledTu};
 use yalla_sim::ir::{ExecConfig, Machine, Value};
-use yalla_sim::link::ObjectFile;
 use yalla_sim::pch::PchFile;
 use yalla_sim::phases::PhaseBreakdown;
 use yalla_sim::{BuildConfig, CompilerProfile, DevCycleSim};
@@ -286,11 +285,6 @@ pub fn evaluate_all(profile: &CompilerProfile) -> Vec<Result<SubjectEvaluation, 
         .into_iter()
         .map(|r| r.expect("slot filled"))
         .collect()
-}
-
-/// Builds the two-object link list for a yalla build (used by figures).
-pub fn yalla_objects(eval: &SubjectEvaluation) -> [ObjectFile; 2] {
-    [eval.yalla.object, eval.wrappers.object]
 }
 
 /// Pretty-prints a phase breakdown in the Figure 7 style.

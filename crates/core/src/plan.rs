@@ -378,16 +378,6 @@ impl Plan {
 
         plan
     }
-
-    /// Total number of generated artifacts (for reporting).
-    pub fn artifact_count(&self) -> usize {
-        self.classes.len()
-            + self.functions.len()
-            + self.fn_wrappers.len()
-            + self.method_wrappers.len()
-            + self.functors.len()
-            + self.enums.len()
-    }
 }
 
 /// Helper: true when a type (after stripping indirection) names one of the

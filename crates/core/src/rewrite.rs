@@ -77,8 +77,6 @@ pub struct Transformer<'p> {
     enum_constants: HashMap<(String, String), i64>,
     /// Functors by lambda span.
     functors_by_span: HashMap<Span, usize>,
-    /// Whether anything changed during the last transformation.
-    changed: bool,
 }
 
 impl<'p> Transformer<'p> {
@@ -119,7 +117,6 @@ impl<'p> Transformer<'p> {
             member_wrappers,
             enum_constants,
             functors_by_span,
-            changed: false,
         }
     }
 
@@ -135,11 +132,6 @@ impl<'p> Transformer<'p> {
 
     fn lookup(&self, name: &str) -> Option<&Type> {
         self.scopes.iter().rev().find_map(|s| s.get(name))
-    }
-
-    /// True if the most recent `transform_*` call changed anything.
-    pub fn took_effect(&self) -> bool {
-        self.changed
     }
 
     /// The class key a written type resolves to, through aliases.
@@ -161,12 +153,10 @@ impl<'p> Transformer<'p> {
             if let Some(key) = self.class_key_of(&out.ty) {
                 if self.plan.pointerized_classes.contains(&key) {
                     out.ty = Type::pointer(out.ty.clone());
-                    self.changed = true;
                 }
             }
             if let Some(u) = self.enum_underlying(&out.ty) {
                 out.ty = u;
-                self.changed = true;
             }
         }
         if let Some(init) = &mut out.init {
@@ -288,7 +278,6 @@ impl<'p> Transformer<'p> {
                         .get(&(class_key.clone(), member.ident.clone()))
                         .cloned()
                     {
-                        self.changed = true;
                         let new_base = self.transform_expr(base);
                         return Expr::new(
                             ExprKind::Call {
@@ -319,7 +308,6 @@ impl<'p> Transformer<'p> {
                     let base = n.base_ident().to_string();
                     if let Some(sym) = self.table.resolve(&prefix.key()) {
                         if let Some(v) = self.enum_constants.get(&(sym.key.clone(), base.clone())) {
-                            self.changed = true;
                             return Expr::new(ExprKind::Int(*v), expr.span);
                         }
                         // Unscoped-enum constant through the namespace: any
@@ -329,7 +317,6 @@ impl<'p> Transformer<'p> {
                             let parent = ek.rsplit_once("::").map(|(p, _)| p).unwrap_or("");
                             (parent == ns && *c == base).then_some(*v)
                         }) {
-                            self.changed = true;
                             return Expr::new(ExprKind::Int(v), expr.span);
                         }
                     }
@@ -340,7 +327,6 @@ impl<'p> Transformer<'p> {
                 // Lambda replaced by functor construction.
                 if let Some(&idx) = self.functors_by_span.get(&expr.span) {
                     let functor = &self.plan.functors[idx];
-                    self.changed = true;
                     let args: Vec<Expr> = functor
                         .fields
                         .iter()
@@ -429,7 +415,6 @@ impl<'p> Transformer<'p> {
                     .get(&(class_key.clone(), member.ident.clone()))
                     .cloned()
                 {
-                    self.changed = true;
                     let mut new_args = vec![self.transform_expr(base)];
                     new_args.extend(args.iter().map(|a| self.transform_expr(a)));
                     return Expr::new(
@@ -455,7 +440,6 @@ impl<'p> Transformer<'p> {
                             .get(&(class_key.clone(), "operator()".to_string()))
                             .cloned()
                         {
-                            self.changed = true;
                             let mut new_args =
                                 vec![Expr::new(ExprKind::Name(n.clone()), callee.span)];
                             new_args.extend(args.iter().map(|a| self.transform_expr(a)));
@@ -476,7 +460,6 @@ impl<'p> Transformer<'p> {
             // Free function with a wrapper.
             if let Some(sym) = self.table.resolve(&n.key()) {
                 if let Some(wname) = self.fn_wrapper_names.get(&sym.key).cloned() {
-                    self.changed = true;
                     // The wrapper lives at global scope; keep any explicit
                     // template args from the original call.
                     let new_callee = QualName {

@@ -38,8 +38,8 @@
 //!   stuck executing another project's entire build mid-wait. An
 //!   optional per-shard *build latency* is slept under the semaphore,
 //!   modeling the client-blocking compile the paper's Figure 6
-//!   attributes to each iteration; the throughput bench uses it to
-//!   measure scheduling overlap.
+//!   attributes to each iteration; the `throughput` bench's `open`
+//!   requests set it to measure scheduling overlap.
 //! * **Wire protocol.** One JSON object per line, over a Unix socket
 //!   (`ok`/`error` responses, one per request, in order). See
 //!   [`ServeState::handle_line`] for the operation set.
@@ -1063,8 +1063,8 @@ mod unix_server {
     }
 
     /// Client helper: sends one request line on `stream` and reads one
-    /// response line, parsed as JSON. Used by tests and the throughput
-    /// bench.
+    /// response line, parsed as JSON. Used by tests and by the socket
+    /// load driver behind the `latency` and `throughput` benches.
     ///
     /// # Errors
     ///

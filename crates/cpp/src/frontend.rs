@@ -59,12 +59,6 @@ impl Frontend {
         &self.vfs
     }
 
-    /// Mutable access to the underlying file system (e.g. to add the files
-    /// YALLA generates and re-compile).
-    pub fn vfs_mut(&mut self) -> &mut Vfs {
-        &mut self.vfs
-    }
-
     /// Adds a predefined macro (like `-DNAME=VALUE`) applied to every
     /// translation unit this frontend parses.
     pub fn define(&mut self, name: &str, value: &str) {

@@ -28,13 +28,6 @@ pub fn print_decl(decl: &Decl) -> String {
     p.finish()
 }
 
-/// Renders a single expression.
-pub fn print_expr(expr: &Expr) -> String {
-    let mut p = Printer::new();
-    p.expr(expr);
-    p.finish()
-}
-
 /// Renders a single statement.
 pub fn print_stmt(stmt: &Stmt) -> String {
     let mut p = Printer::new();

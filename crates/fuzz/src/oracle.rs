@@ -82,13 +82,6 @@ pub enum CaseOutcome {
     Diverged(Box<Divergence>),
 }
 
-impl CaseOutcome {
-    /// True when the case diverged.
-    pub fn is_divergence(&self) -> bool {
-        matches!(self, CaseOutcome::Diverged(_))
-    }
-}
-
 /// A deliberately wrong rewrite rule, injectable for testing the oracle
 /// and the shrinker (the ISSUE's "known-bad rewrite" hook). Applied to
 /// the rewritten main source *after* the engine runs, standing in for a

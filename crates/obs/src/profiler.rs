@@ -180,11 +180,6 @@ impl Profiler {
         self.inner.events.lock().expect("events lock").clone()
     }
 
-    /// Drains and returns the recorded events.
-    pub fn take_events(&self) -> Vec<Event> {
-        std::mem::take(&mut *self.inner.events.lock().expect("events lock"))
-    }
-
     /// Clears events and zeroes metrics and histograms.
     pub fn reset(&self) {
         self.inner.events.lock().expect("events lock").clear();
@@ -215,15 +210,6 @@ impl Profiler {
             tid: current_tid(),
             args: Vec::new(),
         });
-    }
-
-    /// Records a pre-measured complete event with explicit timestamps —
-    /// the bridge for producers that keep their own (virtual) clock.
-    pub fn record_event(&self, mut event: Event) {
-        if event.pid == 0 {
-            event.pid = self.inner.pid.load(Ordering::Relaxed);
-        }
-        self.push(event);
     }
 
     /// Attaches `args` to the most recent recorded event, if any (used to

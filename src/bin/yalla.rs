@@ -96,7 +96,7 @@
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use yalla::{Engine, Options, Session, SubstitutionResult, Vfs};
+use yalla::{Options, Session, SubstitutionResult, Vfs};
 
 struct Cli {
     header: String,
@@ -367,18 +367,15 @@ fn run() -> Result<(), String> {
     let store = open_store(cli.cache_dir.as_deref())?;
     let result = match &cli.iterate {
         Some(script) => iterate(options.clone(), vfs, script, store)?,
-        // With a store attached, a one-shot run goes through a Session so
-        // it both probes the disk tier (a fresh process on an unchanged
+        // A one-shot run is one session rerun: with a store attached it
+        // both probes the disk tier (a fresh process on an unchanged
         // project is disk-warm) and persists its artifacts on the way out.
-        None if store.is_some() => {
+        None => {
             Session::with_store(options.clone(), vfs, store)
                 .rerun()
                 .map_err(|e| e.to_string())?
                 .result
         }
-        None => Engine::new(options.clone())
-            .run(&vfs)
-            .map_err(|e| e.to_string())?,
     };
 
     print!("{}", result.report);

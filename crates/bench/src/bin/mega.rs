@@ -10,6 +10,14 @@
 //! the unbounded run while `cache.evictions` climbs — eviction is a
 //! memory knob, never a correctness knob.
 //!
+//! Each worker count also times two warm edits on its session: a
+//! literal edit local to one secondary TU (`edit-tu-w{w}`) and an edit
+//! of a shared `mg_*` header every TU includes (`edit-shared-w{w}`),
+//! each recording wall, parse and analyze time and the TUs reparsed. A
+//! TU-local edit must reparse exactly one TU and record at most two
+//! analyze misses (that TU's usage plus the merge), or the bench fails:
+//! this is the edit-proportional contract, gated in CI by `--smoke`.
+//!
 //! Parse *scaling* is reported two ways: the measured cold wall ratio,
 //! and a work/critical-path model `total_parse / max(longest_parse,
 //! total_parse / workers)` — the measured ratio collapses to ~1x on
@@ -75,11 +83,38 @@ fn timed(session: &mut Session, exec: &Executor) -> Result<Timed, YallaError> {
     })
 }
 
-fn evictions() -> i64 {
-    yalla_obs::global()
-        .metrics()
-        .counter(names::CACHE_EVICTIONS)
-        .get()
+fn counter(name: &str) -> i64 {
+    yalla_obs::global().metrics().counter(name).get()
+}
+
+fn us(d: std::time::Duration) -> f64 {
+    d.as_secs_f64() * 1e6
+}
+
+/// The two timed warm edits: a literal in one secondary TU, and a
+/// trailing declaration in the deepest shared header (which every TU's
+/// closure reaches, but no TU uses).
+fn warm_edits(project: &MegaProject, depth: usize) -> [(&'static str, String, String); 2] {
+    let tu = project.tus[project.tus.len() / 2].clone();
+    let text = |path: &str| {
+        let (_, text) = project
+            .files
+            .iter()
+            .find(|(p, _)| p == path)
+            .expect("generated file");
+        text.clone()
+    };
+    let tu_text = text(&tu);
+    assert!(tu_text.contains("% 31 + 1"), "{tu} lacks its call literal");
+    let shared = format!("mg_{}_0.hpp", depth - 1);
+    let shared_text = format!(
+        "{}namespace mg {{ inline int edited() {{ return 1; }} }}\n",
+        text(&shared)
+    );
+    [
+        ("edit-tu", tu, tu_text.replacen("% 31 + 1", "% 37 + 1", 1)),
+        ("edit-shared", shared, shared_text),
+    ]
 }
 
 /// One preset's full sweep: cold+warm at each worker count, then the
@@ -140,8 +175,8 @@ fn run_preset(
             Some(_) => {}
         }
 
-        let parse_us = cold.run.result.timings.parse.as_secs_f64() * 1e6;
-        let longest_us = cold.run.parse_longest.as_secs_f64() * 1e6;
+        let parse_us = us(cold.run.result.timings.parse);
+        let longest_us = us(cold.run.parse_longest);
         // Work/critical-path model: W workers can't beat the longest
         // single TU parse, nor do better than an even split of the work.
         let model_us = longest_us.max(parse_us / w as f64).max(1.0);
@@ -166,6 +201,7 @@ fn run_preset(
                 ("parse".to_string(), parse_us),
                 ("parse_longest".to_string(), longest_us),
                 ("parse_model".to_string(), model_us),
+                ("analyze".to_string(), us(cold.run.result.timings.analyze)),
                 ("peak_resident_bytes".to_string(), peak as f64),
                 ("host_cpus".to_string(), host_cpus as f64),
             ],
@@ -175,12 +211,51 @@ fn run_preset(
             config: format!("warm-w{w}"),
             phase_us: vec![("wall".to_string(), warm.wall_us)],
         });
+
+        for (config, path, text) in warm_edits(&project, cfg.depth) {
+            session.apply_edit(&path, text).expect("generated file");
+            let misses_before = counter(&names::stage_cache("analyze", "misses"));
+            let edit = match timed(&mut session, &exec) {
+                Ok(t) => t,
+                Err(e) => {
+                    eprintln!("{preset} w{w}: {config} rerun failed: {e}");
+                    *failures += 1;
+                    continue;
+                }
+            };
+            let misses = counter(&names::stage_cache("analyze", "misses")) - misses_before;
+            let (reparsed, timings) = (edit.run.files_reparsed, &edit.run.result.timings);
+            if config == "edit-tu" && (reparsed > 1 || misses > 2) {
+                eprintln!(
+                    "{preset} w{w}: a TU-local edit reparsed {reparsed} TU(s) and recorded \
+                     {misses} analyze misses (bound: 1 and 2)"
+                );
+                *failures += 1;
+            }
+            println!(
+                "  w{w}: {config:<11} {:>9.0} us  parse {:>9.0} us  analyze {:>9.0} us  \
+                 {reparsed} reparsed, {misses} analyze misses",
+                edit.wall_us,
+                us(timings.parse),
+                us(timings.analyze),
+            );
+            records.push(RunRecord {
+                subject: preset.to_string(),
+                config: format!("{config}-w{w}"),
+                phase_us: vec![
+                    ("wall".to_string(), edit.wall_us),
+                    ("parse".to_string(), us(timings.parse)),
+                    ("analyze".to_string(), us(timings.analyze)),
+                    ("files_reparsed".to_string(), reparsed as f64),
+                ],
+            });
+        }
     }
 
     // Eviction pass: same preset, tiny budget, must stay byte-identical.
     cache::set_mem_budget(Some(TINY_BUDGET));
     cache::reset_peak_resident();
-    let before = evictions();
+    let before = counter(names::CACHE_EVICTIONS);
     let exec = Executor::new(1);
     let mut session = session_for(&options, &vfs);
     let outcome = timed(&mut session, &exec);
@@ -188,7 +263,7 @@ fn run_preset(
     cache::set_mem_budget(None);
     match outcome {
         Ok(t) => {
-            let evicted = evictions() - before;
+            let evicted = counter(names::CACHE_EVICTIONS) - before;
             let peak = cache::peak_bytes_resident();
             if Some(artifact_hash(&t.run)) != baseline_hash {
                 eprintln!("{preset}: tiny-budget artifacts differ from unbounded run");

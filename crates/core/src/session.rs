@@ -13,14 +13,17 @@
 //! memoized behind a content-addressed key:
 //!
 //! ```text
-//! parse ──► analyze ──► plan ──► emit ────────┐
-//!   │          │          └────► rewrite ─────┼──► verify
-//!   └──────────┴───(per-source, parallel)─────┘
+//! parse[0] ──────────────────┐
+//! parse[k] ──► usage[k] ─────┴─► analyze ──► plan ──► emit ────────┐
+//!   │   (k ≥ 1: one per          │             └────► rewrite ─────┼──► verify
+//!   │    secondary TU root)      │                                 │
+//!   └────────────────────────────┴─────(per-source, parallel)──────┘
 //! ```
 //!
 //! | stage   | key                                                        |
 //! |---------|------------------------------------------------------------|
 //! | parse   | `(main path, defines)` validated against the include closure's content hashes ([`yalla_cpp::cache::ParseCache`]) |
+//! | └ usage[k] | root `k`'s closure hash + header + sources (secondary roots only) |
 //! | analyze | closure hash + header + sources + `extra_symbols`          |
 //! | plan    | usage fingerprint ([`crate::fingerprint`]) + pre-declare diagnostics |
 //! | emit    | plan key                                                   |
@@ -57,10 +60,18 @@
 //! [`yalla_obs`]'s `cache.<stage>.*` counters; the run's per-stage
 //! outcomes, counts and timings are one fold over those records.
 //!
+//! With several TU roots, each secondary root `k` has its own usage node
+//! (recorded under the analyze stage): it depends on `parse[k]` alone and
+//! memoizes only that root's [`UsageReport`], so an edit local to one TU
+//! re-collects one TU's usage plus the analyze node, which rebuilds the
+//! primary root's table and merges the memoized reports in root order.
+//! A single-root session declares no usage node at all.
+//!
 //! Artifacts are byte-identical at every worker count: stage closures
 //! are pure functions of their memoized inputs, per-source rewrites are
-//! independent, and the result map is assembled in source order — the
-//! executor only changes *when* a node runs, never what it computes.
+//! independent, per-root usage merges in root order and the result map is
+//! assembled in source order — the executor only changes *when* a node
+//! runs, never what it computes.
 
 use std::collections::{BTreeMap, HashSet};
 use std::fmt;
@@ -336,10 +347,14 @@ fn fold(mut result: SubstitutionResult, records: &[StageOutcome]) -> SessionRun 
 }
 
 /// The session's memos: the parse cache, one slot per stage (one per
-/// source for rewrite, by source position) and the wrappers-check memo.
+/// secondary TU root for usage, one per source for rewrite, by position)
+/// and the wrappers-check memo.
 #[derive(Debug, Default)]
 struct Slots {
     parse: ParseCache,
+    /// One per secondary TU root (root `k` at `k - 1`): that root's usage
+    /// report alone, never its symbol table.
+    usages: Vec<SharedSlot<UsageReport>>,
     analysis: SharedSlot<AnalysisArtifact>,
     plan: SharedSlot<Plan>,
     emit: SharedSlot<EmitArtifact>,
@@ -350,10 +365,10 @@ struct Slots {
 
 /// One rerun: its inputs, the session's memos, the cells carrying each
 /// stage's artifact to its dependents, and one outcome record per stage
-/// instance (parse per TU root, rewrite per source). The pre-pass fills
-/// the cell of a stage it proves warm; a live node fills its own. An
-/// empty cell is how a key function learns, during the pre-pass, that a
-/// predecessor must run first.
+/// instance (parse per TU root, usage per secondary root, rewrite per
+/// source). The pre-pass fills the cell of a stage it proves warm; a live
+/// node fills its own. An empty cell is how a key function learns, during
+/// the pre-pass, that a predecessor must run first.
 #[derive(Debug)]
 struct Run {
     opts: Options,
@@ -361,6 +376,7 @@ struct Run {
     slots: Arc<Slots>,
     roots: Vec<String>,
     parses: Vec<OnceLock<Arc<CachedParse>>>,
+    usages: Vec<OnceLock<Arc<UsageReport>>>,
     analysis: OnceLock<Arc<AnalysisArtifact>>,
     plan: OnceLock<Arc<Plan>>,
     emit: OnceLock<Arc<EmitArtifact>>,
@@ -379,6 +395,7 @@ impl Run {
         let roots = opts.parse_roots();
         Run {
             parses: roots.iter().map(|_| OnceLock::new()).collect(),
+            usages: roots.iter().skip(1).map(|_| OnceLock::new()).collect(),
             rewrites: opts.sources.iter().map(|_| OnceLock::new()).collect(),
             opts,
             vfs,
@@ -405,6 +422,18 @@ impl Run {
 
     fn closure_hash(&self) -> Option<u64> {
         combined_closure_hash(self.parses.iter().map(|c| Some(c.get()?.closure_hash)))
+    }
+
+    /// Secondary root `k`'s usage reads only that root's parse, the
+    /// header name and the source set.
+    fn usage_key(&self, k: usize) -> Option<u64> {
+        let mut h = Fnv64::new();
+        h.write_u64(self.parses[k].get()?.closure_hash);
+        h.write_str(&self.opts.header);
+        for s in &self.opts.sources {
+            h.write_str(s);
+        }
+        Some(h.finish())
     }
 
     fn analyze_key(&self) -> Option<u64> {
@@ -679,6 +708,12 @@ impl Session {
     pub fn with_store(options: Options, vfs: Vfs, store: Option<Arc<Store>>) -> Self {
         let slots = Slots {
             parse: ParseCache::with_store(store.clone()),
+            usages: options
+                .parse_roots()
+                .iter()
+                .skip(1)
+                .map(|_| Mutex::default())
+                .collect(),
             rewrites: options.sources.iter().map(|_| Mutex::default()).collect(),
             ..Slots::default()
         };
@@ -831,9 +866,22 @@ impl Session {
                 },
             ));
         }
+        // One usage node per secondary root, each after its own parse
+        // only: a one-TU edit re-collects one TU's usage, and a cold run
+        // fans the roots' analysis out as their parses finish.
+        let mut analyze_deps = vec![parses[0]];
+        for (k, &parse) in parses.iter().enumerate().skip(1) {
+            analyze_deps.push(d.keyed(
+                Stage::Analyze,
+                &[parse],
+                move |r| (&r.usages[k - 1], &r.slots.usages[k - 1]),
+                move |r| r.usage_key(k),
+                move |r| Ok(stage_usage(r, k)),
+            ));
+        }
         let analyze = d.keyed(
             Stage::Analyze,
-            &parses,
+            &analyze_deps,
             |r| (&r.analysis, &r.slots.analysis),
             Run::analyze_key,
             stage_analyze,
@@ -972,22 +1020,44 @@ impl Session {
 
 // ---- stage implementations ------------------------------------------------
 
+/// The user source files.
+fn source_files(run: &Run) -> HashSet<FileId> {
+    let vfs = &run.vfs;
+    run.opts
+        .sources
+        .iter()
+        .map(|s| vfs.lookup(s).expect("sources validated"))
+        .collect()
+}
+
+/// Secondary root `k`'s usage of the target header, collected against its
+/// own TU and symbol table; the table is dropped once the report is out.
+/// A root that does not include the header uses nothing from it.
+fn stage_usage(run: &Run, k: usize) -> UsageReport {
+    let tu = &done(&run.parses[k]).tu;
+    let header = run.vfs.resolve_include(&run.opts.header, None, false);
+    let Some(header) = header.ok().filter(|h| tu.stats.headers.contains(h)) else {
+        return UsageReport::default();
+    };
+    let targets = crate::engine::reachable_from(header, &tu.stats.include_edges);
+    let table = SymbolTable::build(&tu.ast);
+    UsageReport::collect(&tu.ast, &table, &targets, &source_files(run))
+}
+
 /// The analyze stage: symbol table + usage collection + pre-declared
 /// symbols (paper §6, Fig. 5 lines 2–10).
 ///
 /// With multiple TU roots, the primary root (first entry) anchors the
-/// symbol table, target-file set, and fingerprint; every other root
-/// contributes its own usage of the same header — collected against its
-/// own TU, merged in root order, so the combined report (and everything
-/// planned from it) is byte-identical at any worker count. A secondary
-/// root that does not include the target header simply contributes
-/// nothing. All usage keys name header-side symbols, which the shared
+/// symbol table, target-file set, and fingerprint; every other root's
+/// usage of the same header comes from its own usage node
+/// ([`stage_usage`]) and is merged in root order, so the combined report
+/// (and everything planned from it) is byte-identical at any worker
+/// count. All usage keys name header-side symbols, which the shared
 /// header declares identically in every TU, so resolving the merged
 /// report against the primary table is sound.
 fn stage_analyze(run: &Run) -> Result<AnalysisArtifact, YallaError> {
     let (vfs, opts) = (&*run.vfs, &run.opts);
-    let parsed_roots: Vec<&ParsedTu> = run.parses.iter().map(|c| &*done(c).tu).collect();
-    let parsed = parsed_roots[0];
+    let parsed = &*done(&run.parses[0]).tu;
     let header_file = vfs
         .resolve_include(&opts.header, None, false)
         .map_err(|_| YallaError::HeaderNotIncluded(opts.header.clone()))?;
@@ -995,25 +1065,12 @@ fn stage_analyze(run: &Run) -> Result<AnalysisArtifact, YallaError> {
         return Err(YallaError::HeaderNotIncluded(opts.header.clone()));
     }
     let target_files = crate::engine::reachable_from(header_file, &parsed.stats.include_edges);
-    let mut source_files: HashSet<FileId> = HashSet::new();
-    for s in &opts.sources {
-        source_files.insert(vfs.lookup(s).expect("sources validated"));
-    }
+    let source_files = source_files(run);
 
     let table = SymbolTable::build(&parsed.ast);
     let mut usage = UsageReport::collect(&parsed.ast, &table, &target_files, &source_files);
-    for tu in &parsed_roots[1..] {
-        if !tu.stats.headers.contains(&header_file) {
-            continue;
-        }
-        let tu_targets = crate::engine::reachable_from(header_file, &tu.stats.include_edges);
-        let tu_table = SymbolTable::build(&tu.ast);
-        usage.merge_from(UsageReport::collect(
-            &tu.ast,
-            &tu_table,
-            &tu_targets,
-            &source_files,
-        ));
+    for cell in &run.usages {
+        usage.merge_from(UsageReport::clone(done(cell)));
     }
     // Pre-declared symbols (paper §6): force-listed classes/functions
     // enter the plan as if used, so the lightweight header covers them

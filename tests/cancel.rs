@@ -55,6 +55,26 @@ fn small_project() -> (Options, Vfs) {
     (options, vfs)
 }
 
+/// The small project's sources as three translation units, each its own
+/// parse root: `a.cpp` is the primary root, `b.cpp` and `c.cpp` are
+/// secondary roots with a usage node each.
+fn three_root_project() -> (Options, Vfs) {
+    let (options, mut vfs) = small_project();
+    vfs.add_file(
+        "c.cpp",
+        "#include \"rc.hpp\"\nint use_c(rc::Widget& w) { return w.size(); }\n",
+    );
+    let sources: Vec<String> = ["a.cpp", "b.cpp", "c.cpp"].map(String::from).into();
+    let options = Options {
+        sources: sources.clone(),
+        tu_roots: sources,
+        ..options
+    };
+    (options, vfs)
+}
+
+type Project = fn() -> (Options, Vfs);
+
 /// The observable output of one run, for byte-comparison.
 fn fingerprint(result: &SubstitutionResult) -> (String, String, Vec<(String, String)>, String) {
     (
@@ -83,10 +103,10 @@ fn boundary_count(options: &Options, vfs: &Vfs) -> u64 {
 
 type Edit = fn(&mut Session);
 
-/// A session over the small project, ready for the measured run: cold
-/// when `edit` is `None`, otherwise warmed by one run and then edited.
-fn prepared(exec: &Executor, edit: Option<Edit>) -> Session {
-    let (options, vfs) = small_project();
+/// A session over `project`, ready for the measured run: cold when
+/// `edit` is `None`, otherwise warmed by one run and then edited.
+fn prepared(exec: &Executor, project: Project, edit: Option<Edit>) -> Session {
+    let (options, vfs) = project();
     let mut session = Session::new(options, vfs);
     if let Some(edit) = edit {
         session.rerun_on(exec).expect("warm-up run");
@@ -99,10 +119,10 @@ fn prepared(exec: &Executor, edit: Option<Edit>) -> Session {
 /// workers. Recovery on the same session must be byte-identical to an
 /// uncancelled run, and the rerun after it fully cached. Returns the
 /// number of boundaries swept and the uncancelled run.
-fn sweep_every_boundary(edit: Option<Edit>) -> (u64, SessionRun) {
+fn sweep_every_boundary(project: Project, edit: Option<Edit>) -> (u64, SessionRun) {
     let (clean, boundaries) = {
         let exec = Executor::new(1);
-        let mut session = prepared(&exec, edit);
+        let mut session = prepared(&exec, project, edit);
         let token = CancelToken::new();
         let run = session
             .rerun_with(&exec, &token, Priority::Interactive)
@@ -113,7 +133,7 @@ fn sweep_every_boundary(edit: Option<Edit>) -> (u64, SessionRun) {
     for workers in [1usize, 2, 8] {
         let exec = Executor::new(workers);
         for boundary in 1..=boundaries {
-            let mut session = prepared(&exec, edit);
+            let mut session = prepared(&exec, project, edit);
             let token = CancelToken::new();
             token.trip_after(boundary);
             match session.rerun_with(&exec, &token, Priority::Interactive) {
@@ -155,7 +175,7 @@ fn cancellation_at_every_boundary_leaves_artifacts_byte_identical() {
     // analyze, plan, emit, one per rewritten source, verify): 2 + 4 +
     // 2 + 1 for this two-source project.
     assert_eq!(
-        sweep_every_boundary(None).0,
+        sweep_every_boundary(small_project, None).0,
         9,
         "expected 9 cancel points for a two-source cold run"
     );
@@ -165,7 +185,8 @@ fn cancellation_at_every_boundary_leaves_artifacts_byte_identical() {
 /// and re-analyzes, and plan and emit re-run as live nodes that hit.
 #[test]
 fn cancellation_during_a_warm_comment_edit_leaves_artifacts_byte_identical() {
-    let (boundaries, clean) = sweep_every_boundary(Some(|s| append(s, "a.cpp", "// tweak")));
+    let (boundaries, clean) =
+        sweep_every_boundary(small_project, Some(|s| append(s, "a.cpp", "// tweak")));
     assert_eq!(
         boundaries, 9,
         "every stage is a live node after a parse miss"
@@ -181,9 +202,10 @@ fn cancellation_during_a_warm_comment_edit_leaves_artifacts_byte_identical() {
 /// plan and emit recompute too.
 #[test]
 fn cancellation_during_used_set_growth_leaves_artifacts_byte_identical() {
-    let (boundaries, clean) = sweep_every_boundary(Some(|s| {
-        append(s, "a.cpp", "int grow_a(rc::Widget& w) { return w.size(); }")
-    }));
+    let (boundaries, clean) = sweep_every_boundary(
+        small_project,
+        Some(|s| append(s, "a.cpp", "int grow_a(rc::Widget& w) { return w.size(); }")),
+    );
     assert_eq!(
         boundaries, 9,
         "every stage is a live node after a parse miss"
@@ -191,6 +213,38 @@ fn cancellation_during_used_set_growth_leaves_artifacts_byte_identical() {
     assert_eq!(
         clean.outcome(Stage::Plan),
         CacheLookup::Invalidated,
+        "{}",
+        clean.summary_line()
+    );
+}
+
+/// Three roots, cold: entry + store boundary + one checkpoint per live
+/// node (three parses, two secondary-root usages, analyze, plan, emit,
+/// three rewrites, verify).
+#[test]
+fn cancellation_of_a_cold_multi_root_run_leaves_artifacts_byte_identical() {
+    let (boundaries, clean) = sweep_every_boundary(three_root_project, None);
+    assert_eq!(
+        boundaries, 14,
+        "expected 14 cancel points for a three-root cold run"
+    );
+    assert_eq!(clean.files_reparsed, 3);
+}
+
+/// A comment on secondary root `b.cpp`: only its parse and usage nodes
+/// are live among the roots; `a.cpp`'s parse and `c.cpp`'s parse and
+/// usage are cached nodes with no cancel point.
+#[test]
+fn cancellation_during_a_secondary_root_edit_leaves_artifacts_byte_identical() {
+    let (boundaries, clean) =
+        sweep_every_boundary(three_root_project, Some(|s| append(s, "b.cpp", "// tweak")));
+    assert_eq!(
+        boundaries, 11,
+        "entry + store + parse b + usage b + analyze + plan + emit + 3 rewrites + verify"
+    );
+    assert_eq!(clean.files_reparsed, 1);
+    assert!(
+        clean.outcome(Stage::Plan).is_hit(),
         "{}",
         clean.summary_line()
     );

@@ -89,3 +89,28 @@ pub fn append(session: &mut Session, path: &str, extra: &str) {
     let new_text = format!("{}{extra}\n", session.vfs().text(id));
     session.apply_edit(path, new_text).expect("edit applies");
 }
+
+/// Bumps the last digit of the last integer literal in `path` (`9` wraps
+/// to `0`), so the edit moves no span in the file.
+pub fn bump_literal(session: &mut Session, path: &str) {
+    let id = session.vfs().lookup(path).expect("file exists");
+    let text = session.vfs().text(id);
+    let (mut word, mut last) = (None, None);
+    for (i, c) in text.char_indices().chain([(text.len(), ' ')]) {
+        match (word, c.is_ascii_alphanumeric() || c == '_') {
+            (None, true) => word = Some(i),
+            (Some(start), false) => {
+                if text[start..i].bytes().all(|b| b.is_ascii_digit()) {
+                    last = Some(i - 1);
+                }
+                word = None;
+            }
+            _ => {}
+        }
+    }
+    let at = last.unwrap_or_else(|| panic!("{path} has no integer literal"));
+    let digit = (text.as_bytes()[at] - b'0' + 1) % 10;
+    let mut new_text = text.to_string();
+    new_text.replace_range(at..=at, &digit.to_string());
+    session.apply_edit(path, new_text).expect("edit applies");
+}

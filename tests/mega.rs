@@ -1,12 +1,17 @@
 //! Mega-corpus integration suite: the generated 1k/4k-file trees driven
 //! through the real engine.
 //!
-//! Three contracts on top of the generator's own property tests:
+//! Four contracts on top of the generator's own property tests:
 //!
 //! * **Worker determinism** — a cold mega-1k run produces byte-identical
 //!   artifacts at 1, 2, and 8 workers (every TU parsing as its own DAG
 //!   node), and a fresh session against the cache dir a cold run
 //!   populated is disk-warm with the same bytes.
+//! * **Warm-edit determinism** — the same TU-local, private-header,
+//!   shared-header and used-set-growth edits applied to a warm mega-1k
+//!   session at 1, 2, and 8 workers give, after every edit, the same
+//!   artifacts at every worker count and the same as a fresh cold
+//!   session over the edited tree.
 //! * **Eviction correctness** — mega-4k under a deliberately tiny
 //!   `YALLA_MEM_BUDGET` (run in a child process so the process-wide
 //!   budget cannot leak into threaded sibling tests) is byte-identical
@@ -15,6 +20,8 @@
 //!   the store warms a fresh session to the same bytes, and under the
 //!   store's write-time sabotage modes the rerun still matches (corrupt
 //!   spills degrade to recompute, never to wrong artifacts).
+
+mod common;
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -81,6 +88,62 @@ fn mega_1k_is_byte_identical_across_worker_counts_and_disk_warm() {
         }
     }
     let _ = std::fs::remove_dir_all(&cache_dir);
+}
+
+#[test]
+fn mega_1k_warm_edits_agree_across_worker_counts_and_with_cold() {
+    let cfg = MegaConfig::preset("mega-1k").unwrap();
+    let (vfs, options) = MegaProject::generate(&cfg).render();
+    // A TU-local literal, one of another TU's private headers (both
+    // local to one TU), a shared header under the facade, and a secondary
+    // TU that starts calling a shared function no TU used before.
+    type Edit = fn(&mut Session, &str);
+    let grow: Edit =
+        |s, path| common::append(s, path, "int grown(int a) { return mg::h1_0(a, 2); }");
+    let edits: [(&str, bool, Edit); 4] = [
+        ("tu_5.cpp", true, common::bump_literal),
+        ("tu7_p3.hpp", true, common::bump_literal),
+        ("mg_3_1.hpp", false, common::bump_literal),
+        ("tu_9.cpp", true, grow),
+    ];
+
+    let mut by_workers: Vec<Vec<u64>> = Vec::new();
+    let mut trees = Vec::new();
+    for workers in [1usize, 2, 8] {
+        let exec = Executor::new(workers);
+        let mut session = Session::with_store(options.clone(), vfs.clone(), None);
+        session.rerun_on(&exec).expect("cold run");
+        let mut prints = Vec::new();
+        for (path, local, edit) in edits {
+            edit(&mut session, path);
+            let run = session
+                .rerun_on(&exec)
+                .unwrap_or_else(|e| panic!("{path} at {workers} workers: {e}"));
+            assert!(run.result.report.verification.passed(), "{path}");
+            let reparsed = run.files_reparsed;
+            assert_eq!(reparsed == 1, local, "{path}: {reparsed} TUs reparsed");
+            prints.push(fingerprint(&run));
+            if workers == 1 {
+                trees.push(session.vfs().clone());
+            }
+        }
+        by_workers.push(prints);
+    }
+    for (step, ((path, ..), tree)) in edits.iter().zip(trees).enumerate() {
+        for prints in &by_workers[1..] {
+            assert_eq!(
+                prints[step], by_workers[0][step],
+                "{path}: worker counts diverged"
+            );
+        }
+        let mut fresh = Session::with_store(options.clone(), tree, None);
+        let cold = fresh.rerun_on(&Executor::new(2)).expect("fresh cold run");
+        assert_eq!(
+            fingerprint(&cold),
+            by_workers[0][step],
+            "{path}: warm edit != cold"
+        );
+    }
 }
 
 /// What the tiny-budget child leg writes back to the parent.

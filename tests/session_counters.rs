@@ -13,7 +13,7 @@ use yalla::core::{CacheLookup, Stage};
 use yalla::obs::metrics::names;
 use yalla::{Engine, Options, Session};
 
-use common::{append, kokkos_options, kokkos_session, kokkos_vfs};
+use common::{append, bump_literal, kokkos_options, kokkos_session, kokkos_vfs};
 
 /// The global profiler's counters are process-wide; every test in this
 /// binary serializes behind this lock.
@@ -477,5 +477,155 @@ fn stage_contract_is_pinned_for_every_run_kind() {
         );
         assert_eq!(token.checkpoints(), row.checkpoints, "{name}: checkpoints");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// A three-TU mega tree: `tu_0.cpp` is the primary root, `tu_1.cpp` and
+/// `tu_2.cpp` are secondary roots with private header chains, and all
+/// three include the shared `mg_*` DAG through the facade header.
+fn mega_fixture() -> Session {
+    use yalla::fuzz::{MegaConfig, MegaProject};
+    let cfg = MegaConfig {
+        files: 24,
+        depth: 2,
+        fanout: 2,
+        tus: 3,
+        seed: 0x15,
+    };
+    let (vfs, options) = MegaProject::generate(&cfg).render();
+    assert_eq!(options.tu_roots.len(), 3);
+    Session::with_store(options, vfs, None)
+}
+
+fn warm_mega() -> Session {
+    let mut session = mega_fixture();
+    session.rerun().unwrap();
+    session
+}
+
+/// One row of the multi-root contract.
+struct MegaRow {
+    name: &'static str,
+    setup: fn() -> Session,
+    stages: [CacheLookup; 6],
+    files_reparsed: usize,
+    /// `cache.analyze.{hits,misses,invalidations}` deltas: one instance
+    /// per secondary root's usage plus the analyze node itself.
+    analyze: [i64; 3],
+}
+
+#[test]
+fn multi_root_stage_contract_reanalyzes_only_the_edited_roots() {
+    use CacheLookup::{Hit as H, Invalidated as I, Miss as M};
+
+    let _guard = COUNTER_LOCK.lock().unwrap();
+    let rows = [
+        MegaRow {
+            name: "cold",
+            setup: mega_fixture,
+            stages: [M, M, M, M, M, M],
+            files_reparsed: 3,
+            analyze: [0, 3, 0],
+        },
+        MegaRow {
+            name: "no-op",
+            setup: warm_mega,
+            stages: [H, H, H, H, H, H],
+            files_reparsed: 0,
+            analyze: [3, 0, 0],
+        },
+        MegaRow {
+            name: "secondary TU literal",
+            setup: || {
+                let mut s = warm_mega();
+                bump_literal(&mut s, "tu_1.cpp");
+                s
+            },
+            stages: [I, I, H, H, I, I],
+            files_reparsed: 1,
+            analyze: [1, 2, 2],
+        },
+        MegaRow {
+            name: "secondary private header",
+            setup: || {
+                let mut s = warm_mega();
+                bump_literal(&mut s, "tu1_p0.hpp");
+                s
+            },
+            stages: [I, I, H, H, H, I],
+            files_reparsed: 1,
+            analyze: [1, 2, 2],
+        },
+        MegaRow {
+            name: "primary root literal",
+            setup: || {
+                let mut s = warm_mega();
+                bump_literal(&mut s, "tu_0.cpp");
+                s
+            },
+            stages: [I, I, H, H, I, I],
+            files_reparsed: 1,
+            analyze: [2, 1, 1],
+        },
+        MegaRow {
+            name: "shared header",
+            setup: || {
+                let mut s = warm_mega();
+                bump_literal(&mut s, "mg_1_0.hpp");
+                s
+            },
+            stages: [I, I, H, H, H, I],
+            files_reparsed: 3,
+            analyze: [0, 3, 3],
+        },
+        MegaRow {
+            name: "secondary used-set growth",
+            setup: || {
+                let mut s = warm_mega();
+                append(
+                    &mut s,
+                    "tu_2.cpp",
+                    "int grow2(int a) { return mg::h1_0(a, 2); }",
+                );
+                s
+            },
+            stages: [I, I, I, I, I, I],
+            files_reparsed: 1,
+            analyze: [1, 2, 2],
+        },
+    ];
+    for row in rows {
+        let name = row.name;
+        let mut session = (row.setup)();
+        let before = cache_snapshot()[Stage::Analyze as usize];
+        let run = session.rerun().unwrap();
+        let after = cache_snapshot()[Stage::Analyze as usize];
+
+        let stages: Vec<(Stage, CacheLookup)> =
+            run.stages.iter().map(|s| (s.stage, s.lookup)).collect();
+        let expected: Vec<(Stage, CacheLookup)> = STAGES.into_iter().zip(row.stages).collect();
+        assert_eq!(stages, expected, "{name}: stages");
+        assert_eq!(
+            run.files_reparsed, row.files_reparsed,
+            "{name}: files_reparsed"
+        );
+        let delta: [i64; 3] = std::array::from_fn(|k| after[k] - before[k]);
+        assert_eq!(
+            delta, row.analyze,
+            "{name}: cache.analyze.{{hits,misses,invalidations}}"
+        );
+
+        let cold = Engine::new(session.options().clone())
+            .run(session.vfs())
+            .unwrap();
+        let result = &run.result;
+        assert_eq!(result.lightweight_header, cold.lightweight_header, "{name}");
+        assert_eq!(result.wrappers_file, cold.wrappers_file, "{name}");
+        assert_eq!(result.rewritten_sources, cold.rewritten_sources, "{name}");
+        let report = &result.report;
+        assert!(report.verification.passed(), "{name}");
+        assert_eq!(report.verification, cold.report.verification, "{name}");
+        assert_eq!(report.before, cold.report.before, "{name}");
+        assert_eq!(report.after, cold.report.after, "{name}");
     }
 }

@@ -91,15 +91,15 @@ impl<'t> AliasResolver<'t> {
                     } else {
                         // The alias's scope may include a class for member
                         // aliases; strip back one level at a time.
-                        let mut scopes = sym.scope.clone();
+                        let mut scopes = &sym.scope[..];
                         let mut found = None;
-                        while !scopes.is_empty() {
+                        while let [outer @ .., _] = scopes {
                             let candidate = format!("{}::{}", scopes.join("::"), target.key());
                             if self.table.get(&candidate).is_some() {
                                 found = Some(candidate);
                                 break;
                             }
-                            scopes.pop();
+                            scopes = outer;
                         }
                         found
                     };
@@ -129,8 +129,8 @@ impl<'t> AliasResolver<'t> {
                 // header).
                 if let TypeKind::Named(target_name) = &mut out.kind {
                     if self.table.get(&target_name.key()).is_none() {
-                        let mut scopes = sym.scope.clone();
-                        while !scopes.is_empty() {
+                        let mut scopes = &sym.scope[..];
+                        while let [outer @ .., _] = scopes {
                             let candidate = format!("{}::{}", scopes.join("::"), target_name.key());
                             if self.table.get(&candidate).is_some() {
                                 let mut segs: Vec<yalla_cpp::ast::NameSeg> = scopes
@@ -141,7 +141,7 @@ impl<'t> AliasResolver<'t> {
                                 target_name.segs = segs;
                                 break;
                             }
-                            scopes.pop();
+                            scopes = outer;
                         }
                     }
                 }

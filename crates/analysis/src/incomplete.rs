@@ -348,7 +348,7 @@ mod tests {
         (tu, table)
     }
 
-    fn fn_decl(src: &str) -> (FunctionDecl, SymbolTable) {
+    fn fn_decl(src: &str) -> (std::sync::Arc<FunctionDecl>, SymbolTable) {
         let (tu, table) = setup(src);
         let f = tu
             .decls

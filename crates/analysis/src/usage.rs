@@ -9,6 +9,7 @@
 //! types (needed later for explicit wrapper instantiation).
 
 use std::collections::{BTreeMap, HashMap, HashSet};
+use std::sync::Arc;
 
 use yalla_cpp::ast::{
     ClassDecl, Decl, DeclKind, Expr, ExprKind, ForInit, FunctionDecl, LambdaExpr, QualName, Stmt,
@@ -72,8 +73,8 @@ pub struct CallSite {
 pub struct UsedFunction {
     /// Fully qualified key.
     pub key: String,
-    /// The declaration (signature) from the header.
-    pub decl: FunctionDecl,
+    /// The declaration (signature) from the header, shared with the parse.
+    pub decl: Arc<FunctionDecl>,
     /// Call sites in the sources.
     pub calls: Vec<CallSite>,
 }
@@ -126,8 +127,9 @@ pub struct LambdaUse {
 pub struct EnumUsage {
     /// Fully qualified key of the enum.
     pub key: String,
-    /// The enum declaration (for underlying type and enumerator values).
-    pub decl: yalla_cpp::ast::EnumDecl,
+    /// The enum declaration (for underlying type and enumerator values),
+    /// shared with the parse.
+    pub decl: Arc<yalla_cpp::ast::EnumDecl>,
     /// Spans of expressions naming an enumerator (`Layout::Right`),
     /// with the enumerator name.
     pub constants: Vec<(Span, String)>,
@@ -394,11 +396,11 @@ impl<'a> Collector<'a> {
                     let class = f.qualifier.as_ref().and_then(|q| {
                         let key = self.resolve_in_context(q)?;
                         match &self.table.get(&key)?.kind {
-                            SymbolKind::Class(c) => Some((**c).clone()),
+                            SymbolKind::Class(c) => Some(Arc::clone(c)),
                             _ => None,
                         }
                     });
-                    self.walk_method_body(f, class.as_ref());
+                    self.walk_method_body(f, class.as_deref());
                 }
             }
             DeclKind::Variable(v) => {
@@ -748,7 +750,7 @@ impl<'a> Collector<'a> {
         args: &[Expr],
     ) {
         let decl = match self.table.get(key).map(|s| &s.kind) {
-            Some(SymbolKind::Function(f)) => (**f).clone(),
+            Some(SymbolKind::Function(f)) => Arc::clone(f),
             _ => return,
         };
         let arg_types = args.iter().map(|a| self.infer_type(a)).collect();
@@ -836,7 +838,7 @@ impl<'a> Collector<'a> {
         if !self.target_files.contains(&sym.file) {
             return;
         }
-        let decl = (**decl).clone();
+        let decl = Arc::clone(decl);
         self.report
             .enums
             .entry(key.clone())
@@ -874,7 +876,7 @@ impl<'a> Collector<'a> {
                 if self.target_files.contains(&sym.file)
                     && decl.enumerators.iter().any(|e| e.name == constant) =>
             {
-                (sym.key.clone(), (**decl).clone())
+                (sym.key.clone(), Arc::clone(decl))
             }
             SymbolKind::Namespace => {
                 let ns_key = sym.key.clone();
@@ -885,7 +887,7 @@ impl<'a> Collector<'a> {
                             && self.target_files.contains(&s.file)
                             && d.enumerators.iter().any(|e| e.name == constant) =>
                     {
-                        Some((s.key.clone(), (**d).clone()))
+                        Some((s.key.clone(), Arc::clone(d)))
                     }
                     _ => None,
                 }) else {

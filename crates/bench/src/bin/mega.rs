@@ -129,7 +129,7 @@ fn run_preset(
     let cfg = MegaConfig::preset(preset).expect("known preset");
     let project = MegaProject::generate(&cfg);
     let (vfs, options) = project.render();
-    let host_cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let host_cpus = yalla_bench::results::host_cpus();
     println!(
         "{preset}: {} files ({} shared headers, {} private, {} TUs)",
         project.file_count(),

@@ -4,9 +4,11 @@
 //! per run — `results/BENCH_<bin>.json` — so downstream tooling (plots,
 //! regression checks, CI) reads numbers instead of scraping the printed
 //! tables. Each file is an envelope
-//! `{schema_version, git, records: [...]}` — the version and the
-//! `git describe` of the producing tree let perf-trajectory tooling
-//! trust (or discard) old records — and a record is
+//! `{schema_version, git, profile, host_cpus, records: [...]}` — the
+//! version and the `git describe` of the producing tree let
+//! perf-trajectory tooling trust (or discard) old records, and the build
+//! profile and host CPU count say what produced the numbers — and a
+//! record is
 //! `{subject, config, phase_us: {...}}`, phase times in microseconds to
 //! match the Chrome-trace unit.
 
@@ -97,14 +99,33 @@ pub fn git_describe() -> String {
         .unwrap_or_else(|| "unknown".to_string())
 }
 
+/// The build profile of this binary: `debug` when debug assertions are
+/// compiled in, else `release`.
+pub fn build_profile() -> &'static str {
+    if cfg!(debug_assertions) {
+        "debug"
+    } else {
+        "release"
+    }
+}
+
+/// CPUs available to this process (1 when the host does not say).
+pub fn host_cpus() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
 /// Serializes records as the versioned envelope (stable key order,
-/// valid RFC 8259), stamped with [`SCHEMA_VERSION`] and [`git_describe`].
+/// valid RFC 8259), stamped with [`SCHEMA_VERSION`], [`git_describe`],
+/// [`build_profile`] and [`host_cpus`].
 pub fn to_json(records: &[RunRecord]) -> String {
     let mut out = String::new();
     let _ = write!(
         out,
-        "{{\"schema_version\": {SCHEMA_VERSION}, \"git\": \"{}\", \"records\": ",
-        escape_json(&git_describe())
+        "{{\"schema_version\": {SCHEMA_VERSION}, \"git\": \"{}\", \"profile\": \"{}\", \
+         \"host_cpus\": {}, \"records\": ",
+        escape_json(&git_describe()),
+        build_profile(),
+        host_cpus()
     );
     out.push_str(&records_json(records));
     out.push_str("}\n");
@@ -180,6 +201,14 @@ mod tests {
         );
         let git = parsed.get("git").and_then(JsonValue::as_str).unwrap();
         assert!(!git.is_empty());
+        assert_eq!(
+            parsed.get("profile").and_then(JsonValue::as_str),
+            Some(build_profile())
+        );
+        assert!(parsed
+            .get("host_cpus")
+            .and_then(JsonValue::as_f64)
+            .is_some_and(|n| n >= 1.0));
         let arr = parsed.get("records").and_then(JsonValue::as_array).unwrap();
         assert_eq!(arr.len(), 2);
         assert_eq!(

@@ -5,7 +5,7 @@
 //! a single cold [`crate::Session`] run, so the one-shot and incremental
 //! paths can never drift apart.
 
-use std::collections::{BTreeMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt;
 use std::time::Duration;
 
@@ -230,18 +230,19 @@ impl Engine {
     }
 }
 
-/// Files reachable from `root` in the include graph (including `root`).
+/// Files reachable from `root` in the include graph (including `root`),
+/// in time linear in the edge count: the adjacency is built once, then
+/// walked depth-first.
 pub(crate) fn reachable_from(root: FileId, edges: &[(FileId, FileId)]) -> HashSet<FileId> {
+    let mut includes: HashMap<FileId, Vec<FileId>> = HashMap::new();
+    for &(from, to) in edges {
+        includes.entry(from).or_default().push(to);
+    }
     let mut reach: HashSet<FileId> = HashSet::new();
     let mut stack = vec![root];
     while let Some(f) = stack.pop() {
-        if !reach.insert(f) {
-            continue;
-        }
-        for (from, to) in edges {
-            if *from == f && !reach.contains(to) {
-                stack.push(*to);
-            }
+        if reach.insert(f) {
+            stack.extend(includes.get(&f).into_iter().flatten());
         }
     }
     reach
@@ -518,6 +519,43 @@ void add_y::operator()(member_t &m) {
         assert!(reach.contains(&FileId(1)));
         assert!(reach.contains(&FileId(2)));
         assert!(!reach.contains(&FileId(4)));
+    }
+
+    /// The edge-rescanning walk `reachable_from` replaced, kept as the
+    /// reference its result must equal.
+    fn reachable_by_rescan(root: FileId, edges: &[(FileId, FileId)]) -> HashSet<FileId> {
+        let mut reach = HashSet::new();
+        let mut stack = vec![root];
+        while let Some(f) = stack.pop() {
+            if reach.insert(f) {
+                stack.extend(
+                    edges
+                        .iter()
+                        .filter(|(from, _)| *from == f)
+                        .map(|(_, to)| *to),
+                );
+            }
+        }
+        reach
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(256))]
+        /// Random graphs over a dozen files: self-loops, cycles, diamonds
+        /// and repeated edges all occur.
+        #[test]
+        fn reachability_matches_the_edge_rescan(
+            raw in proptest::collection::vec((0u32..12, 0u32..12), 0..40),
+            root in 0u32..12,
+        ) {
+            let edges: Vec<(FileId, FileId)> =
+                raw.iter().map(|&(a, b)| (FileId(a), FileId(b))).collect();
+            let root = FileId(root);
+            proptest::prop_assert_eq!(
+                reachable_from(root, &edges),
+                reachable_by_rescan(root, &edges)
+            );
+        }
     }
 
     #[test]

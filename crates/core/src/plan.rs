@@ -7,6 +7,7 @@
 //! and record the rewrites the sources need.
 
 use std::collections::{BTreeMap, HashSet};
+use std::sync::Arc;
 
 use yalla_analysis::aliases::AliasResolver;
 use yalla_analysis::incomplete::{wrapper_need, WrapperNeed};
@@ -162,7 +163,7 @@ pub struct EnumReplacement {
     /// Fully qualified key of the enum.
     pub key: String,
     /// The declaration (kept for documentation/reporting).
-    pub decl: EnumDecl,
+    pub decl: Arc<EnumDecl>,
     /// Spelling of the underlying type (defaults to `int`).
     pub underlying: String,
     /// Evaluated enumerator values.
@@ -254,7 +255,7 @@ impl Plan {
                 .unwrap_or(false);
             plan.classes.push(ForwardClass {
                 key: key.clone(),
-                namespace: sym.scope.clone(),
+                namespace: sym.scope.to_vec(),
                 name: class.name.clone(),
                 class_key: class.key,
                 template: class.template.clone(),
@@ -309,7 +310,7 @@ impl Plan {
         let incomplete: HashSet<String> = plan.classes.iter().map(|c| c.key.clone()).collect();
         for (key, used) in &usage.functions {
             let sym = table.get(key);
-            let namespace = sym.map(|s| s.scope.clone()).unwrap_or_default();
+            let namespace = sym.map(|s| s.scope.to_vec()).unwrap_or_default();
             let requalified = wrappers::requalify_signature(&used.decl, &namespace, table);
             // Call-site refinement: a by-value parameter whose written type
             // is a bare template parameter still needs pointerizing when

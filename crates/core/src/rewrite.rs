@@ -11,6 +11,7 @@
 //!   keyed by byte spans (the same strategy as Clang's `Rewriter`).
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use yalla_analysis::aliases::AliasResolver;
 use yalla_analysis::symbols::{SymbolKind, SymbolTable};
@@ -631,10 +632,10 @@ fn collect_decl_edits(decl: &Decl, file: FileId, tr: &mut Transformer<'_>, edits
                 f.qualifier
                     .as_ref()
                     .and_then(|q| match &tr.table.resolve(&q.key())?.kind {
-                        SymbolKind::Class(c) => Some((**c).clone()),
+                        SymbolKind::Class(c) => Some(Arc::clone(c)),
                         _ => None,
                     });
-            collect_function_edits(f, decl, file, class.as_ref(), tr, edits);
+            collect_function_edits(f, decl, file, class.as_deref(), tr, edits);
         }
         DeclKind::Variable(v) => {
             if decl.span.file != file {

@@ -302,7 +302,7 @@ pub fn make_method_wrapper(
             span: None,
         });
     };
-    let mut class_scope = sym.scope.clone();
+    let mut class_scope = sym.scope.to_vec();
     class_scope.push(class.name.clone());
     // A method of a class template may spell its types in terms of the
     // class's template parameters (`DataType& operator()(...)`). The
@@ -402,7 +402,7 @@ pub fn make_field_wrapper(
             span: None,
         });
     };
-    let mut class_scope = sym.scope.clone();
+    let mut class_scope = sym.scope.to_vec();
     class_scope.push(class.name.clone());
     let field_ty = requalify_type(&fdecl.ty, &class_scope, table, None);
     let aliases = AliasResolver::new(table);

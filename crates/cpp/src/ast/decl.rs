@@ -1,6 +1,7 @@
 //! Declarations: namespaces, classes, enums, aliases, functions, variables.
 
 use std::fmt;
+use std::sync::Arc;
 
 use crate::ast::expr::Expr;
 use crate::ast::name::QualName;
@@ -212,7 +213,7 @@ impl ClassDecl {
     /// Iterates over members that are methods.
     pub fn methods(&self) -> impl Iterator<Item = (&Member, &FunctionDecl)> {
         self.members.iter().filter_map(|m| match &m.decl.kind {
-            DeclKind::Function(f) => Some((m, f)),
+            DeclKind::Function(f) => Some((m, &**f)),
             _ => None,
         })
     }
@@ -391,22 +392,27 @@ pub struct VarDecl {
 }
 
 /// The kind of a declaration.
+///
+/// Class, enum, alias and function payloads sit behind an [`Arc`], so a
+/// symbol table (or any other index over a parse) shares them with the
+/// AST instead of copying them; `Arc`'s `Debug` is its payload's, so the
+/// rendered tree reads the same.
 #[derive(Debug, Clone, PartialEq)]
 pub enum DeclKind {
     /// A namespace.
     Namespace(NamespaceDecl),
     /// A class/struct (declaration or definition).
-    Class(ClassDecl),
+    Class(Arc<ClassDecl>),
     /// An enum.
-    Enum(EnumDecl),
+    Enum(Arc<EnumDecl>),
     /// A type alias (`using`/`typedef`), possibly templated.
-    Alias(AliasDecl),
+    Alias(Arc<AliasDecl>),
     /// A using-declaration `using Kokkos::LayoutRight;`.
     UsingDecl(QualName),
     /// `using namespace N;`.
     UsingNamespace(QualName),
     /// A function or method.
-    Function(FunctionDecl),
+    Function(Arc<FunctionDecl>),
     /// A variable or field.
     Variable(VarDecl),
     /// `static_assert(...)` — retained for fidelity, contents ignored.
@@ -500,7 +506,7 @@ mod tests {
     #[test]
     fn class_member_iterators() {
         let method = Decl::new(
-            DeclKind::Function(FunctionDecl {
+            DeclKind::Function(Arc::new(FunctionDecl {
                 name: FunctionName::CallOperator,
                 qualifier: None,
                 template: None,
@@ -508,7 +514,7 @@ mod tests {
                 params: vec![],
                 specs: FunctionSpecs::default(),
                 body: None,
-            }),
+            })),
             Span::dummy(),
         );
         let field = Decl::new(
@@ -549,7 +555,7 @@ mod tests {
     #[test]
     fn walk_enters_namespaces() {
         let inner = Decl::new(
-            DeclKind::Class(ClassDecl {
+            DeclKind::Class(Arc::new(ClassDecl {
                 key: ClassKey::Class,
                 name: "OpenMP".into(),
                 template: None,
@@ -558,7 +564,7 @@ mod tests {
                 members: vec![],
                 is_definition: false,
                 is_explicit_instantiation: false,
-            }),
+            })),
             Span::dummy(),
         );
         let ns = Decl::new(

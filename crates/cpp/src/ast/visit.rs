@@ -249,6 +249,8 @@ pub fn walk_type<V: Visitor>(v: &mut V, ty: &Type) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
+
     use crate::ast::name::QualName;
     use crate::loc::Span;
 
@@ -307,7 +309,7 @@ mod tests {
             Span::dummy(),
         );
         let f = Decl::new(
-            DeclKind::Function(FunctionDecl {
+            DeclKind::Function(Arc::new(FunctionDecl {
                 name: crate::ast::decl::FunctionName::Ident("f".into()),
                 qualifier: None,
                 template: None,
@@ -322,7 +324,7 @@ mod tests {
                     stmts: vec![Stmt::new(StmtKind::Return(Some(call)), Span::dummy())],
                     span: Span::dummy(),
                 }),
-            }),
+            })),
             Span::dummy(),
         );
         let tu = TranslationUnit { decls: vec![f] };

@@ -33,6 +33,13 @@ pub enum CppError {
         /// Location of the offending `#include`.
         span: Span,
     },
+    /// Macro expansions nested deeper than the preprocessor's limit.
+    MacroNesting {
+        /// The macro whose expansion crossed the limit.
+        name: String,
+        /// Location of the invocation that was being expanded.
+        span: Span,
+    },
     /// A malformed preprocessor directive.
     Directive {
         /// Human-readable description of the problem.
@@ -63,6 +70,7 @@ impl CppError {
             CppError::FileNotFound { .. } => None,
             CppError::IncludeNotFound { span, .. }
             | CppError::IncludeCycle { span, .. }
+            | CppError::MacroNesting { span, .. }
             | CppError::Directive { span, .. }
             | CppError::Lex { span, .. }
             | CppError::Parse { span, .. } => Some(*span),
@@ -79,6 +87,9 @@ impl fmt::Display for CppError {
             }
             CppError::IncludeCycle { name, .. } => {
                 write!(f, "include cycle detected while including {name}")
+            }
+            CppError::MacroNesting { name, .. } => {
+                write!(f, "macro expansion nested too deeply in {name}")
             }
             CppError::Directive { message, .. } => {
                 write!(f, "invalid preprocessor directive: {message}")

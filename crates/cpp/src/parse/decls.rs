@@ -6,6 +6,8 @@ use crate::ast::{
     FunctionDecl, FunctionName, FunctionSpecs, Member, NamespaceDecl, Param, QualName,
     TemplateHeader, TemplateParam,
 };
+use std::sync::Arc;
+
 use crate::error::Result;
 use crate::lex::{Punct, TokenKind};
 use crate::parse::Parser;
@@ -76,11 +78,11 @@ impl Parser {
             let (name, _) = self.ident()?;
             let end = self.expect_punct(Punct::Semi)?;
             return Ok(Decl::new(
-                DeclKind::Alias(AliasDecl {
+                DeclKind::Alias(Arc::new(AliasDecl {
                     name,
                     template: None,
                     target,
-                }),
+                })),
                 start.to(end),
             ));
         }
@@ -145,11 +147,11 @@ impl Parser {
             let target = self.parse_type()?;
             let end = self.expect_punct(Punct::Semi)?;
             return Ok(Decl::new(
-                DeclKind::Alias(AliasDecl {
+                DeclKind::Alias(Arc::new(AliasDecl {
                     name,
                     template: None,
                     target,
-                }),
+                })),
                 start.to(end),
             ));
         }
@@ -180,7 +182,7 @@ impl Parser {
                 let spec_args = Some(self.render_range(spec_from, self.save()));
                 let end = self.expect_punct(Punct::Semi)?;
                 return Ok(Decl::new(
-                    DeclKind::Class(ClassDecl {
+                    DeclKind::Class(Arc::new(ClassDecl {
                         key,
                         name: name.key(),
                         template: None,
@@ -189,13 +191,13 @@ impl Parser {
                         members: vec![],
                         is_definition: false,
                         is_explicit_instantiation: true,
-                    }),
+                    })),
                     start.to(end),
                 ));
             }
             let mut decl = self.parse_function_or_variable(None)?;
             if let DeclKind::Function(f) = &mut decl.kind {
-                f.specs.is_explicit_instantiation = true;
+                Arc::make_mut(f).specs.is_explicit_instantiation = true;
             }
             decl.span = start.to(decl.span);
             return Ok(decl);
@@ -214,11 +216,11 @@ impl Parser {
             let target = self.parse_type()?;
             let end = self.expect_punct(Punct::Semi)?;
             return Ok(Decl::new(
-                DeclKind::Alias(AliasDecl {
+                DeclKind::Alias(Arc::new(AliasDecl {
                     name,
                     template: Some(header),
                     target,
-                }),
+                })),
                 start.to(end),
             ));
         }
@@ -347,7 +349,7 @@ impl Parser {
         if self.check_punct(Punct::Semi) {
             let end = self.bump().span;
             return Ok(Decl::new(
-                DeclKind::Class(ClassDecl {
+                DeclKind::Class(Arc::new(ClassDecl {
                     key,
                     name,
                     template,
@@ -356,7 +358,7 @@ impl Parser {
                     members: vec![],
                     is_definition: false,
                     is_explicit_instantiation: false,
-                }),
+                })),
                 start.to(end),
             ));
         }
@@ -426,7 +428,7 @@ impl Parser {
         self.expect_punct(Punct::RBrace)?;
         let end = self.expect_punct(Punct::Semi)?;
         Ok(Decl::new(
-            DeclKind::Class(ClassDecl {
+            DeclKind::Class(Arc::new(ClassDecl {
                 key,
                 name,
                 template,
@@ -435,7 +437,7 @@ impl Parser {
                 members,
                 is_definition: true,
                 is_explicit_instantiation: false,
-            }),
+            })),
             start.to(end),
         ))
     }
@@ -455,11 +457,11 @@ impl Parser {
             let (name, _) = self.ident()?;
             let end = self.expect_punct(Punct::Semi)?;
             return Ok(Decl::new(
-                DeclKind::Alias(AliasDecl {
+                DeclKind::Alias(Arc::new(AliasDecl {
                     name,
                     template: None,
                     target,
-                }),
+                })),
                 start.to(end),
             ));
         }
@@ -559,12 +561,12 @@ impl Parser {
         }
         let end = self.expect_punct(Punct::Semi)?;
         Ok(Decl::new(
-            DeclKind::Enum(EnumDecl {
+            DeclKind::Enum(Arc::new(EnumDecl {
                 name,
                 scoped,
                 underlying,
                 enumerators,
-            }),
+            })),
             start.to(end),
         ))
     }
@@ -621,7 +623,7 @@ impl Parser {
                         // A trailing return type (`auto f() -> int`) wins
                         // over the leading `auto`.
                         if f.ret.is_none() {
-                            f.ret = Some(ret.clone());
+                            Arc::make_mut(f).ret = Some(ret.clone());
                         }
                     }
                     d
@@ -868,7 +870,7 @@ impl Parser {
             }
             let end = self.expect_punct(Punct::Semi)?;
             return Ok(Decl::new(
-                DeclKind::Function(FunctionDecl {
+                DeclKind::Function(Arc::new(FunctionDecl {
                     name,
                     qualifier,
                     template,
@@ -876,7 +878,7 @@ impl Parser {
                     params,
                     specs,
                     body: None,
-                }),
+                })),
                 start.to(end),
             ));
         }
@@ -905,7 +907,7 @@ impl Parser {
             let body = self.parse_block()?;
             let span = start.to(body.span);
             return Ok(Decl::new(
-                DeclKind::Function(FunctionDecl {
+                DeclKind::Function(Arc::new(FunctionDecl {
                     name,
                     qualifier,
                     template,
@@ -913,13 +915,13 @@ impl Parser {
                     params,
                     specs,
                     body: Some(body),
-                }),
+                })),
                 span,
             ));
         }
         let end = self.expect_punct(Punct::Semi)?;
         Ok(Decl::new(
-            DeclKind::Function(FunctionDecl {
+            DeclKind::Function(Arc::new(FunctionDecl {
                 name,
                 qualifier,
                 template,
@@ -927,7 +929,7 @@ impl Parser {
                 params,
                 specs,
                 body: None,
-            }),
+            })),
             start.to(end),
         ))
     }
@@ -959,7 +961,7 @@ mod tests {
                 assert_eq!(f.name.spelling(), "add");
                 assert_eq!(f.params.len(), 2);
                 assert!(f.is_definition());
-                assert_eq!(f.ret.unwrap().to_string(), "int");
+                assert_eq!(f.ret.as_ref().unwrap().to_string(), "int");
             }
             other => panic!("bad parse: {other:?}"),
         }
@@ -970,7 +972,7 @@ mod tests {
         let d = first("template<typename T>\nT g_add(T x, T y) {\n  return x + y;\n}");
         match d.kind {
             DeclKind::Function(f) => {
-                assert_eq!(f.template.unwrap().params.len(), 1);
+                assert_eq!(f.template.as_ref().unwrap().params.len(), 1);
                 assert_eq!(f.name.spelling(), "g_add");
             }
             other => panic!("bad parse: {other:?}"),
@@ -1003,7 +1005,7 @@ mod tests {
         let d = first("template<> int g_add<int>(int x, int y) { return x + y; }");
         match d.kind {
             DeclKind::Function(f) => {
-                let t = f.template.unwrap();
+                let t = f.template.as_ref().unwrap();
                 assert!(t.params.is_empty());
                 assert_eq!(f.name.spelling(), "g_add<int>");
             }
@@ -1166,7 +1168,7 @@ mod tests {
                 assert!(e.scoped);
                 assert_eq!(e.enumerators.len(), 3);
                 assert_eq!(e.enumerators[1].value.as_deref(), Some("4"));
-                assert_eq!(e.underlying.unwrap().to_string(), "int");
+                assert_eq!(e.underlying.as_ref().unwrap().to_string(), "int");
             }
             other => panic!("bad parse: {other:?}"),
         }
@@ -1271,7 +1273,7 @@ mod tests {
         let d = first("auto get() -> int { return 3; }");
         match d.kind {
             DeclKind::Function(f) => {
-                assert_eq!(f.ret.unwrap().to_string(), "int");
+                assert_eq!(f.ret.as_ref().unwrap().to_string(), "int");
             }
             other => panic!("bad parse: {other:?}"),
         }

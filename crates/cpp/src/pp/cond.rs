@@ -61,7 +61,7 @@ pub fn eval_condition(tokens: &[Token], macros: &mut MacroTable, span: Span) -> 
     }
     // Pass 2: macro-expand everything else.
     let mut expanded = Vec::new();
-    macros.expand(&resolved, &mut expanded);
+    macros.expand(&resolved, &mut expanded)?;
     // Pass 3: evaluate.
     let mut p = CondParser {
         toks: &expanded,

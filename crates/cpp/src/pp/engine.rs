@@ -157,7 +157,7 @@ impl<'v> Preprocessor<'v> {
                     j += 1;
                 }
                 let dir = &tokens[i + 1..j];
-                self.flush(&mut pending);
+                self.flush(&mut pending)?;
                 if active {
                     counted_lines.insert(dir_line);
                 }
@@ -173,18 +173,19 @@ impl<'v> Preprocessor<'v> {
             }
             i += 1;
         }
-        self.flush(&mut pending);
+        self.flush(&mut pending)?;
         self.stats.add_lines(file, counted_lines.len());
         self.depth -= 1;
         Ok(())
     }
 
-    fn flush(&mut self, pending: &mut Vec<Token>) {
+    fn flush(&mut self, pending: &mut Vec<Token>) -> Result<()> {
         if pending.is_empty() {
-            return;
+            return Ok(());
         }
-        self.macros.expand(pending, &mut self.out);
+        self.macros.expand(pending, &mut self.out)?;
         pending.clear();
+        Ok(())
     }
 
     fn handle_directive(
@@ -427,6 +428,7 @@ impl<'v> Preprocessor<'v> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pp::macros::MAX_MACRO_DEPTH;
 
     fn render(out: &PpOutput) -> String {
         out.tokens
@@ -527,6 +529,43 @@ mod tests {
         vfs.add_file("main.cpp", "#include \"a.hpp\"\n");
         let err = preprocess(&vfs, "main.cpp").unwrap_err();
         assert!(matches!(err, CppError::IncludeCycle { .. }));
+    }
+
+    /// `#define M0 M1` … `#define M{depth} int`, then `M0 x;`: expanding
+    /// `M0` nests `depth + 1` macro expansions.
+    fn macro_chain(depth: usize) -> String {
+        let mut src: String = (0..depth)
+            .map(|i| format!("#define M{i} M{}\n", i + 1))
+            .collect();
+        src.push_str(&format!("#define M{depth} int\nM0 x;\n"));
+        src
+    }
+
+    #[test]
+    fn deep_macro_nesting_is_an_error_not_a_stack_overflow() {
+        // A spawned thread's default stack size, where an unbounded chain
+        // used to abort the process.
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(|| {
+                let mut vfs = Vfs::new();
+                vfs.add_file("chain.cpp", macro_chain(100_000));
+                let nested = "F(".repeat(2_000) + "0" + &")".repeat(2_000);
+                vfs.add_file("args.cpp", format!("#define F(v) v\nint y = {nested};\n"));
+                vfs.add_file("ok.cpp", macro_chain(MAX_MACRO_DEPTH - 1));
+                for main in ["chain.cpp", "args.cpp"] {
+                    let err = preprocess(&vfs, main).unwrap_err();
+                    assert!(
+                        matches!(err, CppError::MacroNesting { .. }),
+                        "{main}: {err}"
+                    );
+                }
+                let out = preprocess(&vfs, "ok.cpp").unwrap();
+                assert_eq!(render(&out), "int x ;");
+            })
+            .expect("spawn")
+            .join()
+            .expect("deep nesting fails without overflowing the stack");
     }
 
     #[test]

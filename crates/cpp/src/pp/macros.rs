@@ -2,8 +2,15 @@
 
 use std::collections::{HashMap, HashSet};
 
+use crate::error::{CppError, Result};
 use crate::lex::{lex_str, Punct, Token, TokenKind};
 use crate::loc::Span;
+
+/// Deepest macro-within-macro expansion accepted. Expansion recurses once
+/// per level (argument pre-expansion included), so, like the include and
+/// parser nesting limits, the cap turns a pathological chain into an
+/// error instead of a stack overflow.
+pub(crate) const MAX_MACRO_DEPTH: usize = 256;
 
 /// A single `#define`.
 #[derive(Debug, Clone, PartialEq)]
@@ -74,12 +81,23 @@ impl MacroTable {
     /// tokens take the span and line of the *invocation*, so everything the
     /// parser sees points at user-visible source (the same convention Clang
     /// uses for its "expansion location").
-    pub fn expand(&mut self, input: &[Token], out: &mut Vec<Token>) {
-        let mut hide = HashSet::new();
-        self.expand_inner(input, out, &mut hide);
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CppError::MacroNesting`] when expansions nest deeper than
+    /// [`MAX_MACRO_DEPTH`] levels.
+    pub fn expand(&mut self, input: &[Token], out: &mut Vec<Token>) -> Result<()> {
+        self.expand_inner(input, out, &mut HashSet::new(), 0)
     }
 
-    fn expand_inner(&mut self, input: &[Token], out: &mut Vec<Token>, hide: &mut HashSet<String>) {
+    /// Expands `input` inside `depth` enclosing macro expansions.
+    fn expand_inner(
+        &mut self,
+        input: &[Token],
+        out: &mut Vec<Token>,
+        hide: &mut HashSet<String>,
+        depth: usize,
+    ) -> Result<()> {
         let mut i = 0;
         while i < input.len() {
             let tok = &input[i];
@@ -101,12 +119,18 @@ impl MacroTable {
                 i += 1;
                 continue;
             };
+            if depth >= MAX_MACRO_DEPTH {
+                return Err(CppError::MacroNesting {
+                    name,
+                    span: tok.span,
+                });
+            }
             match def.params {
                 None => {
                     self.expansions += 1;
                     let body = respan(&def.body, tok.span, tok.line);
                     hide.insert(name.clone());
-                    self.expand_inner(&body, out, hide);
+                    self.expand_inner(&body, out, hide, depth + 1)?;
                     hide.remove(&name);
                     i += 1;
                 }
@@ -128,27 +152,30 @@ impl MacroTable {
                     };
                     self.expansions += 1;
                     let substituted =
-                        self.substitute(&def, params, def.variadic, &args, tok.span, tok.line);
+                        self.substitute(&def, params, &args, tok.span, tok.line, depth + 1)?;
                     hide.insert(name.clone());
-                    self.expand_inner(&substituted, out, hide);
+                    self.expand_inner(&substituted, out, hide, depth + 1)?;
                     hide.remove(&name);
                     i += 1 + consumed;
                 }
             }
         }
+        Ok(())
     }
 
     /// Substitutes arguments into a function-like macro body, handling
-    /// `#param` (stringify) and `a ## b` (paste).
+    /// `#param` (stringify) and `a ## b` (paste). Arguments are expanded
+    /// at `depth`, the level of the macro being substituted.
     fn substitute(
         &mut self,
         def: &MacroDef,
         params: &[String],
-        variadic: bool,
         args: &[Vec<Token>],
         use_span: Span,
         use_line: u32,
-    ) -> Vec<Token> {
+        depth: usize,
+    ) -> Result<Vec<Token>> {
+        let variadic = def.variadic;
         let arg_for = |pname: &str| -> Option<Vec<Token>> {
             if let Some(idx) = params.iter().position(|p| p == pname) {
                 return Some(args.get(idx).cloned().unwrap_or_default());
@@ -219,7 +246,7 @@ impl MacroTable {
                 if let Some(arg) = arg_for(p) {
                     // Arguments are fully expanded before substitution.
                     let mut expanded = Vec::new();
-                    self.expand(&arg, &mut expanded);
+                    self.expand_inner(&arg, &mut expanded, &mut HashSet::new(), depth)?;
                     out.extend(respan(&expanded, use_span, use_line));
                     i += 1;
                     continue;
@@ -228,7 +255,7 @@ impl MacroTable {
             out.push(body[i].clone());
             i += 1;
         }
-        out
+        Ok(out)
     }
 }
 
@@ -294,7 +321,7 @@ mod tests {
         let mut toks = lex_str(text).unwrap();
         toks.pop();
         let mut out = Vec::new();
-        table.expand(&toks, &mut out);
+        table.expand(&toks, &mut out).unwrap();
         out.iter()
             .map(|t| t.kind.to_string())
             .collect::<Vec<_>>()

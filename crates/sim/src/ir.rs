@@ -21,6 +21,7 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fmt;
 use std::rc::Rc;
+use std::sync::Arc;
 
 use yalla_cpp::ast::{
     BinaryOp, Block, ClassDecl, Decl, DeclKind, EnumDecl, Expr, ExprKind, ForInit, FunctionDecl,
@@ -260,12 +261,12 @@ pub type MethodDispatcher =
     Rc<dyn Fn(&mut Machine, &Value, &str, Vec<Value>) -> Option<Result<Value, ExecError>>>;
 
 struct FnEntry {
-    decl: Rc<FunctionDecl>,
+    decl: Arc<FunctionDecl>,
     tu: TuId,
 }
 
 struct ClassEntry {
-    decl: Rc<ClassDecl>,
+    decl: Arc<ClassDecl>,
     tu: TuId,
 }
 
@@ -357,7 +358,7 @@ impl Machine {
                         }
                     };
                     let entry = FnEntry {
-                        decl: Rc::new(f.clone()),
+                        decl: Arc::clone(f),
                         tu,
                     };
                     if f.qualifier.is_some() {
@@ -368,7 +369,7 @@ impl Machine {
                 }
                 DeclKind::Class(c) if c.is_definition => {
                     self.classes.entry(c.name.clone()).or_insert(ClassEntry {
-                        decl: Rc::new(c.clone()),
+                        decl: Arc::clone(c),
                         tu,
                     });
                 }
@@ -1333,11 +1334,12 @@ impl Machine {
                 // In-class method bodies: `Class::method`.
                 let (class, method) = name.rsplit_once("::")?;
                 let entry = self.classes.get(class)?;
-                let decl = entry
-                    .decl
-                    .methods()
-                    .find(|(_, f)| f.name.spelling() == method && f.body.is_some())
-                    .map(|(_, f)| Rc::new(f.clone()))?;
+                let decl = entry.decl.members.iter().find_map(|m| match &m.decl.kind {
+                    DeclKind::Function(f) if f.name.spelling() == method && f.body.is_some() => {
+                        Some(Arc::clone(f))
+                    }
+                    _ => None,
+                })?;
                 (decl, entry.tu)
             }
         };

@@ -126,6 +126,39 @@ fn smoke_open_rerun_get_shutdown() {
     assert!(!path.exists(), "socket file removed on shutdown");
 }
 
+/// Hostile input: a header whose macros nest 100k deep. The rerun that
+/// preprocesses it answers with a typed error instead of overflowing a
+/// worker's stack, and the daemon keeps serving.
+#[test]
+fn deep_macro_nesting_fails_the_rerun_and_the_daemon_stays_up() {
+    let path = socket_path("deep-macro");
+    let server = Server::start(&path, Executor::new(2)).expect("start server");
+    let mut stream = connect(&path);
+
+    let depth = 100_000;
+    let mut header: String = (0..depth)
+        .map(|i| format!("#define M{i} M{}\n", i + 1))
+        .collect();
+    header.push_str(&format!("#define M{depth} int\nclass W {{}};\nM0 x;\n"));
+    let open = format!(
+        "{{\"op\": \"open\", \"project\": \"deep\", \"header\": \"deep.hpp\", \
+         \"sources\": [\"main.cpp\"], \"files\": {{\"deep.hpp\": \"{}\", \
+         \"main.cpp\": \"#include \\\"deep.hpp\\\"\\nint f(W& w);\\n\"}}}}",
+        escape_json(&header)
+    );
+    let r = client_request(&mut stream, &open).unwrap();
+    assert!(ok(&r), "{r:?}");
+    let r = client_request(&mut stream, "{\"op\": \"rerun\", \"project\": \"deep\"}").unwrap();
+    assert!(!ok(&r), "{r:?}");
+    let error = r.get("error").and_then(JsonValue::as_str).unwrap_or("");
+    assert!(error.contains("macro expansion nested too deeply"), "{r:?}");
+    let r = client_request(&mut stream, "{\"op\": \"status\"}").unwrap();
+    assert!(ok(&r), "{r:?}");
+    let r = client_request(&mut stream, "{\"op\": \"shutdown\"}").unwrap();
+    assert!(ok(&r), "{r:?}");
+    server.join();
+}
+
 /// Crash recovery end to end against the real binary: a `yalla serve`
 /// daemon with a cache dir is driven through open/edit/rerun, killed
 /// with SIGKILL mid-steady-state (no shutdown handshake, no flush), and

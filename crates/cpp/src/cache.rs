@@ -242,6 +242,13 @@ const VERSIONS_PER_KEY: usize = 4;
 /// hash, so the history stays consistent (the work is wasted, never
 /// wrong).
 ///
+/// A scheduler that knows a key will miss calls
+/// [`ParseCache::make_room`] first, so the parse frees no old version
+/// while other workers parse: freeing a whole AST makes the allocator's
+/// per-thread arenas contend (the freed blocks belong to the arena of
+/// the thread that parsed them), which slowed parallel reparses
+/// several-fold.
+///
 /// # Example
 ///
 /// ```
@@ -406,6 +413,29 @@ impl ParseCache {
         m.part(Self::PART_META)?.reader().get_varint().ok()
     }
 
+    /// Evicts the least recently used version of `(path, defines)` when
+    /// its history is full, so that a parse about to miss on it evicts
+    /// nothing. Call it before scheduling the parse (a session does, in
+    /// its warm pre-pass), so the old AST is freed while no other parse
+    /// runs.
+    pub fn make_room(&self, defines: &[(String, String)], path: &str) {
+        let key = (path.to_string(), hash::hash_defines(defines));
+        let evicted: Vec<Entry> = {
+            let mut entries = self.entries.lock().expect("parse cache lock");
+            let Some(versions) = entries.get_mut(&key) else {
+                return;
+            };
+            let evicted: Vec<Entry> = versions
+                .drain((VERSIONS_PER_KEY - 1).min(versions.len())..)
+                .collect();
+            let freed: u64 = evicted.iter().map(|e| e.bytes).sum();
+            self.resident.fetch_sub(freed, Ordering::Relaxed);
+            sub_resident(freed);
+            evicted
+        };
+        drop(evicted);
+    }
+
     /// Number of cached TUs.
     pub fn len(&self) -> usize {
         self.entries.lock().expect("parse cache lock").len()
@@ -532,17 +562,15 @@ impl ParseCache {
         self.persist_manifest(&key, vfs.hash_of(path), &deps, closure_hash);
         let bytes = Self::approx_entry_bytes(&tu, &deps);
         let stamp = self.clock.fetch_add(1, Ordering::Relaxed);
-        let spilled = {
+        // Replaced and evicted entries leave the map under the lock but are
+        // dropped after it is released.
+        let (replaced, spilled) = {
             let mut entries = self.entries.lock().expect("parse cache lock");
             let versions = entries.entry(key).or_default();
-            let mut freed: u64 = 0;
-            versions.retain(|e| {
-                let keep = e.closure_hash != closure_hash;
-                if !keep {
-                    freed += e.bytes;
-                }
-                keep
-            });
+            let (mut replaced, kept): (Vec<Entry>, Vec<Entry>) = std::mem::take(versions)
+                .into_iter()
+                .partition(|e| e.closure_hash == closure_hash);
+            *versions = kept;
             versions.insert(
                 0,
                 Entry {
@@ -553,18 +581,19 @@ impl ParseCache {
                     stamp,
                 },
             );
-            for e in versions.drain(VERSIONS_PER_KEY.min(versions.len())..) {
-                freed += e.bytes;
-            }
+            replaced.extend(versions.drain(VERSIONS_PER_KEY.min(versions.len())..));
+            let freed: u64 = replaced.iter().map(|e| e.bytes).sum();
             self.resident.fetch_add(bytes, Ordering::Relaxed);
             self.resident.fetch_sub(freed, Ordering::Relaxed);
             add_resident(bytes);
             sub_resident(freed);
-            match self.effective_budget() {
+            let spilled = match self.effective_budget() {
                 Some(budget) => Self::enforce_budget(&mut entries, &self.resident, budget, stamp),
                 None => Vec::new(),
-            }
+            };
+            (replaced, spilled)
         };
+        drop(replaced);
         // Spill outside the map lock: each evicted entry's dependency
         // manifest is (re-)persisted to the store tier, so the record
         // round-trips — a later probe_disk recovers the closure hash and
@@ -574,8 +603,9 @@ impl ParseCache {
                 yalla_obs::metrics::names::CACHE_EVICTIONS,
                 spilled.len() as i64,
             );
-            for s in spilled {
-                self.persist_manifest(&s.key, Some(s.root_hash), &s.deps, s.closure_hash);
+            for (key, e) in &spilled {
+                let root_hash = e.deps.first().map_or(0, |d| d.1);
+                self.persist_manifest(key, Some(root_hash), &e.deps, e.closure_hash);
             }
         }
         Ok(CachedParse {
@@ -605,13 +635,14 @@ impl ParseCache {
     /// `keep_stamp`, so the insert that triggered enforcement always
     /// survives — a cache smaller than one TU still makes progress)
     /// until this cache's resident estimate fits `budget`. Returns the
-    /// spill manifests for the caller to persist after the lock drops.
+    /// evicted entries with their keys, for the caller to persist their
+    /// manifests and drop them after the lock is released.
     fn enforce_budget(
         entries: &mut HashMap<(String, u64), Vec<Entry>>,
         resident: &AtomicU64,
         budget: u64,
         keep_stamp: u64,
-    ) -> Vec<Spill> {
+    ) -> Vec<((String, u64), Entry)> {
         let mut spilled = Vec::new();
         while resident.load(Ordering::Relaxed) > budget {
             let victim = entries
@@ -634,24 +665,10 @@ impl ParseCache {
             }
             resident.fetch_sub(e.bytes, Ordering::Relaxed);
             sub_resident(e.bytes);
-            spilled.push(Spill {
-                key,
-                root_hash: e.deps.first().map(|d| d.1).unwrap_or_default(),
-                deps: e.deps,
-                closure_hash: e.closure_hash,
-            });
+            spilled.push((key, e));
         }
         spilled
     }
-}
-
-/// What the eviction path carries out of the lock: enough to persist
-/// the dependency manifest of a spilled entry to the store tier.
-struct Spill {
-    key: (String, u64),
-    root_hash: u64,
-    deps: Vec<(String, u64)>,
-    closure_hash: u64,
 }
 
 impl Drop for ParseCache {
@@ -875,6 +892,37 @@ mod tests {
             free.parse(&v, &[], "tu0.cpp").unwrap().closure_hash,
             again.closure_hash
         );
+    }
+
+    #[test]
+    fn make_room_frees_the_version_the_next_miss_would_evict() {
+        let mut v = vfs();
+        let cache = ParseCache::new();
+        let text = |i: usize| format!("#include \"lib.hpp\"\nint y{i};\n");
+        let mut versions = Vec::new();
+        for i in 0..VERSIONS_PER_KEY {
+            v.apply_edit("main.cpp", text(i)).unwrap();
+            versions.push(Arc::downgrade(
+                &cache.parse(&v, &[], "main.cpp").unwrap().tu,
+            ));
+        }
+        v.apply_edit("main.cpp", text(VERSIONS_PER_KEY)).unwrap();
+        cache.make_room(&[], "main.cpp");
+        assert!(versions[0].upgrade().is_none(), "oldest version freed");
+        assert!(versions[1..].iter().all(|w| w.upgrade().is_some()));
+        let resident = cache.resident_bytes();
+        cache.parse(&v, &[], "main.cpp").unwrap();
+        assert!(
+            cache.resident_bytes() > resident,
+            "the miss evicted nothing"
+        );
+        for i in 1..=VERSIONS_PER_KEY {
+            v.apply_edit("main.cpp", text(i)).unwrap();
+            assert_eq!(
+                cache.parse(&v, &[], "main.cpp").unwrap().lookup,
+                CacheLookup::Hit
+            );
+        }
     }
 
     #[test]

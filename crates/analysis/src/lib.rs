@@ -18,6 +18,7 @@
 
 pub mod aliases;
 pub mod incomplete;
+pub mod scope;
 pub mod symbols;
 pub mod usage;
 

@@ -368,7 +368,7 @@ impl Plan {
             if lu.target_function.is_none() {
                 continue;
             }
-            let functor = lambda::make_functor(functors.len(), lu, &plan, table, usage);
+            let functor = lambda::make_functor(functors.len(), lu, &plan, table);
             functors.push(functor);
         }
         plan.functors = functors;

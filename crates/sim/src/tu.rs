@@ -9,7 +9,7 @@
 
 use std::collections::HashSet;
 
-use yalla_cpp::ast::visit::{walk_tu, Visitor};
+use yalla_cpp::ast::visit::{walk_decl, walk_expr, walk_tu, walk_type, Visitor};
 use yalla_cpp::ast::{Decl, DeclKind, Expr, ExprKind, Stmt, TranslationUnit, Type, TypeKind};
 use yalla_cpp::pp::Preprocessor;
 use yalla_cpp::vfs::Vfs;
@@ -114,6 +114,7 @@ impl Visitor for Counter {
             }
             _ => {}
         }
+        walk_decl(self, decl);
     }
 
     fn visit_expr(&mut self, expr: &Expr) {
@@ -134,6 +135,7 @@ impl Visitor for Counter {
             }
             _ => {}
         }
+        walk_expr(self, expr);
     }
 
     fn visit_type(&mut self, ty: &Type) {
@@ -143,6 +145,7 @@ impl Visitor for Counter {
                 self.instantiation_keys.insert(n.to_string());
             }
         }
+        walk_type(self, ty);
     }
 }
 

@@ -1,6 +1,7 @@
 //! Macro definitions and expansion.
 
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
 use crate::error::{CppError, Result};
 use crate::lex::{lex_str, Punct, Token, TokenKind};
@@ -41,10 +42,11 @@ impl MacroDef {
     }
 }
 
-/// The macro environment during preprocessing.
+/// The macro environment during preprocessing. Definitions are shared:
+/// an expansion holds its definition without copying the body.
 #[derive(Debug, Clone, Default)]
 pub struct MacroTable {
-    defs: HashMap<String, MacroDef>,
+    defs: HashMap<String, Arc<MacroDef>>,
     /// Number of expansions performed (work proxy for the cost model).
     pub expansions: usize,
 }
@@ -57,7 +59,7 @@ impl MacroTable {
 
     /// Defines (or redefines) a macro.
     pub fn define(&mut self, name: impl Into<String>, def: MacroDef) {
-        self.defs.insert(name.into(), def);
+        self.defs.insert(name.into(), Arc::new(def));
     }
 
     /// Removes a macro; succeeds silently when absent (like `#undef`).
@@ -72,7 +74,7 @@ impl MacroTable {
 
     /// Looks up a macro definition.
     pub fn get(&self, name: &str) -> Option<&MacroDef> {
-        self.defs.get(name)
+        self.defs.get(name).map(Arc::as_ref)
     }
 
     /// Fully macro-expands `input`, appending the result to `out`.
@@ -101,40 +103,33 @@ impl MacroTable {
         let mut i = 0;
         while i < input.len() {
             let tok = &input[i];
-            let name = match &tok.kind {
-                TokenKind::Ident(n) => n.clone(),
-                _ => {
-                    out.push(tok.clone());
-                    i += 1;
-                    continue;
+            let expansion = match &tok.kind {
+                TokenKind::Ident(name) if !hide.contains(name) => {
+                    self.defs.get(name).map(|def| (name, Arc::clone(def)))
                 }
+                _ => None,
             };
-            if hide.contains(&name) {
-                out.push(tok.clone());
-                i += 1;
-                continue;
-            }
-            let Some(def) = self.defs.get(&name).cloned() else {
+            let Some((name, def)) = expansion else {
                 out.push(tok.clone());
                 i += 1;
                 continue;
             };
             if depth >= MAX_MACRO_DEPTH {
                 return Err(CppError::MacroNesting {
-                    name,
+                    name: name.clone(),
                     span: tok.span,
                 });
             }
-            match def.params {
+            match &def.params {
                 None => {
                     self.expansions += 1;
                     let body = respan(&def.body, tok.span, tok.line);
                     hide.insert(name.clone());
                     self.expand_inner(&body, out, hide, depth + 1)?;
-                    hide.remove(&name);
+                    hide.remove(name);
                     i += 1;
                 }
-                Some(ref params) => {
+                Some(params) => {
                     // Function-like: require an immediate '('.
                     if i + 1 >= input.len() || !input[i + 1].kind.is_punct(Punct::LParen) {
                         out.push(tok.clone());
@@ -155,7 +150,7 @@ impl MacroTable {
                         self.substitute(&def, params, &args, tok.span, tok.line, depth + 1)?;
                     hide.insert(name.clone());
                     self.expand_inner(&substituted, out, hide, depth + 1)?;
-                    hide.remove(&name);
+                    hide.remove(name);
                     i += 1 + consumed;
                 }
             }

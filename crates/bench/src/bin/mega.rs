@@ -342,7 +342,6 @@ fn main() {
     }
 
     if let Some(path) = &event_log {
-        yalla_obs::enable();
         if let Err(e) = yalla_obs::log::init_file(Path::new(path)) {
             eprintln!("opening event log {path}: {e}");
             std::process::exit(2);
@@ -417,6 +416,9 @@ fn main() {
             failures += 1;
         }
     }
+    // The log's buffered tail would be lost at exit, and CI uploads the
+    // log exactly when this run fails.
+    yalla_obs::log::flush();
     if failures > 0 {
         eprintln!("{failures} failure(s)");
         std::process::exit(1);

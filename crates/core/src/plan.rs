@@ -348,7 +348,7 @@ impl Plan {
 
         // ---- methods & fields (Table 1 row 5) -----------------------------
         for ((class_key, method), mu) in &usage.methods {
-            match wrappers::make_method_wrapper(class_key, method, mu, table, usage) {
+            match wrappers::make_method_wrapper(class_key, method, mu, table) {
                 Ok(w) => plan.method_wrappers.push(w),
                 Err(d) => plan.diagnostics.push(d),
             }

@@ -455,17 +455,14 @@ impl ServeState {
             yalla_obs::count(&names::serve_requests(op), 1);
             yalla_obs::observe(&names::latency_serve(op), dur);
         }
-        if yalla_obs::log::is_active() {
+        yalla_obs::event("request", || {
             let ok = !response.text.starts_with("{\"ok\": false");
-            yalla_obs::log::emit(
-                "request",
-                &[
-                    ("op", class.unwrap_or("invalid").into()),
-                    ("ok", yalla_obs::ArgValue::Int(i64::from(ok))),
-                    ("dur_us", yalla_obs::ArgValue::Int(dur.as_micros() as i64)),
-                ],
-            );
-        }
+            [
+                ("op", class.unwrap_or("invalid").into()),
+                ("ok", i64::from(ok).into()),
+                ("dur_us", (dur.as_micros() as i64).into()),
+            ]
+        });
         // Stamp the request id as the first field of the response object
         // (every response is a JSON object, so this is a pure prefix
         // rewrite).
@@ -748,19 +745,13 @@ impl ServeState {
                         attempt_started.elapsed(),
                     );
                     shard.published.lock().expect("published lock").cancelled += 1;
-                    if yalla_obs::log::is_active() {
-                        yalla_obs::log::emit(
-                            "cancel",
-                            &[
-                                ("project", shard.name.as_str().into()),
-                                ("generation", yalla_obs::ArgValue::Int(target_gen as i64)),
-                                (
-                                    "checkpoints",
-                                    yalla_obs::ArgValue::Int(token.checkpoints() as i64),
-                                ),
-                            ],
-                        );
-                    }
+                    yalla_obs::event("cancel", || {
+                        [
+                            ("project", shard.name.as_str().into()),
+                            ("generation", (target_gen as i64).into()),
+                            ("checkpoints", (token.checkpoints() as i64).into()),
+                        ]
+                    });
                 }
                 Err(e) => {
                     clear_active();

@@ -972,7 +972,7 @@ impl Session {
         // ---- latency telemetry ------------------------------------------
         // Recomputed stages feed the `latency.stage.<stage>` histograms
         // (cache hits report zero and would drown the distribution, so
-        // they are skipped); one event-log line per stage carries the
+        // they are skipped); one `stage` event per stage carries the
         // lookup and duration, joined to the daemon request by the
         // ambient request id this handler thread holds.
         for outcome in &session_run.stages {
@@ -980,20 +980,18 @@ impl Session {
             if !outcome.lookup.is_hit() {
                 yalla_obs::observe(&yalla_obs::metrics::names::latency_stage(stage), duration);
             }
-            if yalla_obs::log::is_active() {
+            yalla_obs::event("stage", || {
                 let lookup = match outcome.lookup {
                     CacheLookup::Hit => "hit",
                     CacheLookup::Miss => "miss",
                     CacheLookup::Invalidated => "invalidated",
                 };
-                let dur_us = duration.as_micros() as i64;
-                let fields = [
+                [
                     ("stage", stage.into()),
                     ("lookup", lookup.into()),
-                    ("dur_us", dur_us.into()),
-                ];
-                yalla_obs::log::emit("stage", &fields);
-            }
+                    ("dur_us", (duration.as_micros() as i64).into()),
+                ]
+            });
         }
 
         // ---- persist the run bundle -------------------------------------

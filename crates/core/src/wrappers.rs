@@ -15,7 +15,7 @@ use yalla_analysis::aliases::AliasResolver;
 use yalla_analysis::incomplete::WrapperNeed;
 use yalla_analysis::symbols::{SymbolKind, SymbolTable};
 use yalla_analysis::usage::{FieldUsage, MethodUsage, UsageReport};
-use yalla_cpp::ast::{FunctionDecl, FunctionName, Param, Type, TypeKind};
+use yalla_cpp::ast::{ClassDecl, FunctionDecl, FunctionName, Param, Type, TypeKind};
 
 use crate::plan::{Diagnostic, DiagnosticKind, FnWrapper, MemberKind, MethodWrapper, Plan};
 
@@ -275,20 +275,8 @@ pub fn make_method_wrapper(
     method: &str,
     mu: &MethodUsage,
     table: &SymbolTable,
-    usage: &UsageReport,
 ) -> Result<MethodWrapper, Diagnostic> {
-    let sym = table.get(class_key).ok_or_else(|| Diagnostic {
-        kind: DiagnosticKind::UnknownSymbol,
-        message: format!("class `{class_key}` not in symbol table"),
-        span: None,
-    })?;
-    let SymbolKind::Class(class) = &sym.kind else {
-        return Err(Diagnostic {
-            kind: DiagnosticKind::UnknownSymbol,
-            message: format!("`{class_key}` is not a class"),
-            span: None,
-        });
-    };
+    let (class, class_scope) = lookup_class(class_key, table)?;
     // Locate the method declaration in the class definition.
     let target_spelling = yalla_cpp::Sym::intern(method);
     let found = class.methods().find(|(_, f)| {
@@ -302,8 +290,6 @@ pub fn make_method_wrapper(
             span: None,
         });
     };
-    let mut class_scope = sym.scope.to_vec();
-    class_scope.push(class.name.clone());
     // A method of a class template may spell its types in terms of the
     // class's template parameters (`DataType& operator()(...)`). The
     // wrapper is generated for the *usage*, so concretize those
@@ -354,7 +340,7 @@ pub fn make_method_wrapper(
     let mut instantiations = Vec::new();
     for call in &mu.calls {
         if let Some(recv) = &call.receiver {
-            let rendered = render_receiver(recv, usage, &aliases);
+            let rendered = render_receiver(recv, &aliases);
             if !instantiations.contains(&rendered) {
                 instantiations.push(rendered);
             }
@@ -383,18 +369,7 @@ pub fn make_field_wrapper(
     fu: &FieldUsage,
     table: &SymbolTable,
 ) -> Result<MethodWrapper, Diagnostic> {
-    let sym = table.get(class_key).ok_or_else(|| Diagnostic {
-        kind: DiagnosticKind::UnknownSymbol,
-        message: format!("class `{class_key}` not in symbol table"),
-        span: None,
-    })?;
-    let SymbolKind::Class(class) = &sym.kind else {
-        return Err(Diagnostic {
-            kind: DiagnosticKind::UnknownSymbol,
-            message: format!("`{class_key}` is not a class"),
-            span: None,
-        });
-    };
+    let (class, class_scope) = lookup_class(class_key, table)?;
     let Some((_, fdecl)) = class.fields().find(|(_, f)| f.name == field) else {
         return Err(Diagnostic {
             kind: DiagnosticKind::UnknownSymbol,
@@ -402,17 +377,11 @@ pub fn make_field_wrapper(
             span: None,
         });
     };
-    let mut class_scope = sym.scope.to_vec();
-    class_scope.push(class.name.clone());
     let field_ty = requalify_type(&fdecl.ty, &class_scope, table, None);
     let aliases = AliasResolver::new(table);
     let mut instantiations = Vec::new();
     for recv in &fu.receiver_types {
-        let rendered = {
-            let mut t = strip_ref(recv);
-            t.is_const = false;
-            aliases.resolve_type_deep(&t).to_string()
-        };
+        let rendered = render_receiver(recv, &aliases);
         if !instantiations.contains(&rendered) {
             instantiations.push(rendered);
         }
@@ -429,7 +398,31 @@ pub fn make_field_wrapper(
     })
 }
 
-fn render_receiver(recv: &Type, _usage: &UsageReport, aliases: &AliasResolver<'_>) -> String {
+/// The class `class_key` names in `table`, with the scope path that
+/// spells its members (the class's own scope plus its name).
+fn lookup_class<'t>(
+    class_key: &str,
+    table: &'t SymbolTable,
+) -> Result<(&'t ClassDecl, Vec<String>), Diagnostic> {
+    let unknown = |message| Diagnostic {
+        kind: DiagnosticKind::UnknownSymbol,
+        message,
+        span: None,
+    };
+    let sym = table
+        .get(class_key)
+        .ok_or_else(|| unknown(format!("class `{class_key}` not in symbol table")))?;
+    let SymbolKind::Class(class) = &sym.kind else {
+        return Err(unknown(format!("`{class_key}` is not a class")));
+    };
+    let mut class_scope = sym.scope.to_vec();
+    class_scope.push(class.name.clone());
+    Ok((class, class_scope))
+}
+
+/// A receiver type as a wrapper instantiation argument: reference and
+/// top-level `const` dropped, aliases resolved.
+fn render_receiver(recv: &Type, aliases: &AliasResolver<'_>) -> String {
     let mut t = strip_ref(recv);
     t.is_const = false;
     aliases.resolve_type_deep(&t).to_string()

@@ -990,18 +990,6 @@ mod tests {
     }
 
     #[test]
-    fn resident_accounting_balances_on_clear() {
-        let v = vfs();
-        let before = bytes_resident();
-        let cache = ParseCache::new();
-        cache.parse(&v, &[], "main.cpp").unwrap();
-        assert!(cache.resident_bytes() > 0);
-        assert!(bytes_resident() >= before + cache.resident_bytes());
-        cache.clear();
-        assert_eq!(cache.resident_bytes(), 0);
-    }
-
-    #[test]
     fn errors_are_not_cached() {
         let mut v = Vfs::new();
         v.add_file("bad.cpp", "#include \"missing.hpp\"\n");

@@ -43,10 +43,12 @@ fn number(v: f64) -> String {
     }
 }
 
-fn args_object(args: &[(String, ArgValue)]) -> String {
-    let mut out = String::from("{");
-    for (i, (k, v)) in args.iter().enumerate() {
-        if i > 0 {
+/// Appends each `args` entry as `"key": value`, preceded by `", "`
+/// unless `out` ends with the `{` that opens an object — the field
+/// writer shared by the trace's `args` object and the event log's lines.
+pub(crate) fn write_args(out: &mut String, args: &[(String, ArgValue)]) {
+    for (k, v) in args {
+        if !out.ends_with('{') {
             out.push_str(", ");
         }
         let _ = match v {
@@ -55,8 +57,6 @@ fn args_object(args: &[(String, ArgValue)]) -> String {
             ArgValue::Str(s) => write!(out, "\"{}\": \"{}\"", escape_json(k), escape_json(s)),
         };
     }
-    out.push('}');
-    out
 }
 
 /// Serializes one event as a JSON object.
@@ -76,8 +76,13 @@ pub fn event_json(e: &Event) -> String {
     if e.ph == crate::event::Phase::Instant {
         out.push_str(", \"s\": \"t\"");
     }
-    if !e.args.is_empty() {
-        let _ = write!(out, ", \"args\": {}", args_object(&e.args));
+    if e.req != 0 || !e.args.is_empty() {
+        out.push_str(", \"args\": {");
+        if e.req != 0 {
+            let _ = write!(out, "\"req\": {}", e.req);
+        }
+        write_args(&mut out, &e.args);
+        out.push('}');
     }
     out.push('}');
     out

@@ -86,6 +86,9 @@ pub struct Event {
     pub pid: u32,
     /// Thread id.
     pub tid: u64,
+    /// The [`crate::reqid`] request id the event belongs to (0 when
+    /// none); rendered as the first `args` entry only when non-zero.
+    pub req: u64,
     /// Arguments rendered into the event's `args` object.
     pub args: Vec<(String, ArgValue)>,
 }
@@ -101,6 +104,7 @@ impl Event {
             dur_us,
             pid,
             tid,
+            req: 0,
             args: Vec::new(),
         }
     }
@@ -115,6 +119,7 @@ impl Event {
             dur_us: 0.0,
             pid,
             tid,
+            req: 0,
             args: vec![("value".to_string(), ArgValue::Int(value))],
         }
     }
@@ -130,6 +135,7 @@ impl Event {
             dur_us: 0.0,
             pid,
             tid,
+            req: 0,
             args: Vec::new(),
         }
     }
@@ -145,6 +151,7 @@ impl Event {
             dur_us: 0.0,
             pid,
             tid: 0,
+            req: 0,
             args: vec![("name".to_string(), ArgValue::Str(label.to_string()))],
         }
     }
@@ -159,6 +166,7 @@ impl Event {
             dur_us: 0.0,
             pid,
             tid,
+            req: 0,
             args: vec![("name".to_string(), ArgValue::Str(label.to_string()))],
         }
     }

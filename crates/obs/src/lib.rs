@@ -15,11 +15,15 @@
 //!   cross-thread merge and pause-free snapshots, per request class;
 //! * [`reqid`] — the ambient request id the serve daemon threads through
 //!   sessions, DAG nodes, and store lookups for end-to-end causality;
-//! * sinks — a Chrome-trace JSON writer ([`chrome`]) sharing one
-//!   [`Event`] model with the simulator's virtual-time traces, a
-//!   human-readable summary table ([`summary`]), a structured JSONL
-//!   event log ([`log`], `--event-log`), and a Prometheus text-format
-//!   exporter ([`export`], the daemon's `metrics` op);
+//! * [`event`] — the one entry point for discrete events (a request, a
+//!   stage decision, a store lookup, a cancel): each is one [`Event`] in
+//!   the profiler's stream, stamped with its thread and request id;
+//! * renderings of that stream — a Chrome-trace JSON writer ([`chrome`])
+//!   sharing the [`Event`] model with the simulator's virtual-time
+//!   traces, a structured JSONL event log ([`log`], `--event-log`), and
+//!   a human-readable summary table ([`summary`]); plus a
+//!   Prometheus text-format exporter of the metrics ([`export`], the
+//!   daemon's `metrics` op);
 //! * [`json`] — a tiny validating JSON parser used to test the writers.
 //!
 //! Most call sites use the process-global profiler through the free
@@ -94,6 +98,13 @@ pub fn count(name: &str, delta: i64) {
 /// Sets a gauge on the global profiler.
 pub fn gauge(name: &str, value: i64) {
     global().gauge(name, value)
+}
+
+/// Records one event of `kind` on the global profiler (see
+/// [`Profiler::event`]): `fields` is called only when a trace or an
+/// event log is listening.
+pub fn event<'a, const N: usize>(kind: &str, fields: impl FnOnce() -> [(&'a str, ArgValue); N]) {
+    global().event(kind, fields)
 }
 
 /// Records `value` (µs by convention) into the global latency histogram

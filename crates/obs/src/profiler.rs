@@ -1,5 +1,6 @@
-//! The profiler: hierarchical RAII spans plus counter events, recorded
-//! against a shared wall-clock epoch.
+//! The profiler: hierarchical RAII spans, counter samples and discrete
+//! events, recorded against one wall-clock epoch — the one place an
+//! event is recorded, whichever sinks render it.
 //!
 //! Design constraints (from the paper's own methodology — `-ftime-trace`
 //! style attribution of where time goes):
@@ -12,15 +13,25 @@
 //! * **Thread-aware.** Each OS thread gets a stable small `tid` on first
 //!   use; events from worker threads land on their own tracks.
 //! * **One event model.** Events are [`crate::Event`]s, shared with the
-//!   simulator's virtual-time traces.
+//!   simulator's virtual-time traces, stamped with the recording
+//!   thread's tid and ambient [`crate::reqid`].
+//! * **One stream, several renderings.** A [`Profiler::event`] is
+//!   buffered for the Chrome trace while tracing is enabled and written
+//!   as a JSONL line once a log is installed ([`Profiler::log_to`]).
 
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::io::Write;
+use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use crate::event::{ArgValue, Event, Phase};
 use crate::hist::{Histogram, HistogramRegistry};
 use crate::metrics::MetricsRegistry;
+
+/// [`Inner::sinks`] bit: trace events are buffered.
+const TRACE: u8 = 1;
+/// [`Inner::sinks`] bit: a JSONL event log is installed.
+const LOG: u8 = 2;
 
 static NEXT_TID: AtomicU64 = AtomicU64::new(1);
 
@@ -36,12 +47,17 @@ pub fn current_tid() -> u64 {
 
 #[derive(Debug)]
 struct Inner {
-    enabled: AtomicBool,
+    /// Which sinks listen ([`TRACE`], [`LOG`]): one load decides whether
+    /// anything is recorded. `Relaxed` suffices: it publishes no data,
+    /// since the event buffer and the log writer sit behind their own
+    /// mutexes.
+    sinks: AtomicU8,
     epoch: Instant,
     pid: AtomicU32,
     events: Mutex<Vec<Event>>,
     metrics: MetricsRegistry,
     hists: HistogramRegistry,
+    log: crate::log::Writer,
 }
 
 /// A handle to a profiler; clones share the same recording.
@@ -61,24 +77,41 @@ impl Profiler {
     pub fn new() -> Self {
         Profiler {
             inner: Arc::new(Inner {
-                enabled: AtomicBool::new(false),
+                sinks: AtomicU8::new(0),
                 epoch: Instant::now(),
                 pid: AtomicU32::new(1),
                 events: Mutex::new(Vec::new()),
                 metrics: MetricsRegistry::new(),
                 hists: HistogramRegistry::new(),
+                log: crate::log::Writer::default(),
             }),
         }
     }
 
-    /// Whether events are being recorded.
+    /// Whether trace events are being recorded.
     pub fn is_enabled(&self) -> bool {
-        self.inner.enabled.load(Ordering::Relaxed)
+        self.inner.sinks.load(Ordering::Relaxed) & TRACE != 0
     }
 
-    /// Turns recording on or off.
+    /// Turns trace recording on or off.
     pub fn set_enabled(&self, on: bool) {
-        self.inner.enabled.store(on, Ordering::Relaxed);
+        if on {
+            self.inner.sinks.fetch_or(TRACE, Ordering::Relaxed);
+        } else {
+            self.inner.sinks.fetch_and(!TRACE, Ordering::Relaxed);
+        }
+    }
+
+    /// Writes every later [`Profiler::event`] as one JSONL line to `out`
+    /// (see [`crate::log`]), replacing any earlier log.
+    pub fn log_to(&self, out: Box<dyn Write + Send>) {
+        self.inner.log.install(out);
+        self.inner.sinks.fetch_or(LOG, Ordering::Relaxed);
+    }
+
+    /// Flushes the installed event log, if any.
+    pub fn flush_log(&self) {
+        self.inner.log.flush();
     }
 
     /// Sets the pid stamped on events and pushes a `process_name`
@@ -114,22 +147,46 @@ impl Profiler {
         }
     }
 
-    /// Records an instant marker.
-    pub fn instant(&self, cat: &str, name: &str) {
-        if !self.is_enabled() {
+    /// Records one event of `kind` carrying `fields`. With neither a
+    /// trace nor a log listening this costs one relaxed atomic load and
+    /// never calls `fields`; otherwise the event is buffered as a trace
+    /// instant and/or written as an event-log line.
+    pub fn event<'a, const N: usize>(
+        &self,
+        kind: &str,
+        fields: impl FnOnce() -> [(&'a str, ArgValue); N],
+    ) {
+        let sinks = self.inner.sinks.load(Ordering::Relaxed);
+        if sinks == 0 {
             return;
         }
-        let ts = self.now_us();
-        self.push(Event {
-            name: name.to_string(),
+        let mut event = self.here(kind.to_string(), "event", Phase::Instant, self.now_us());
+        event.args = fields()
+            .into_iter()
+            .map(|(k, v)| (k.to_string(), v))
+            .collect();
+        if sinks & LOG != 0 {
+            self.inner.log.write(&event);
+        }
+        if sinks & TRACE != 0 {
+            self.push(event);
+        }
+    }
+
+    /// An event of the calling thread, stamped with the profiler's pid,
+    /// the thread's tid and its ambient request id.
+    fn here(&self, name: String, cat: &str, ph: Phase, ts_us: f64) -> Event {
+        Event {
+            name,
             cat: cat.to_string(),
-            ph: Phase::Instant,
-            ts_us: ts,
+            ph,
+            ts_us,
             dur_us: 0.0,
             pid: self.inner.pid.load(Ordering::Relaxed),
             tid: current_tid(),
+            req: crate::reqid::current(),
             args: Vec::new(),
-        });
+        }
     }
 
     /// Bumps the counter metric `name` by `delta`; when enabled, also
@@ -137,14 +194,9 @@ impl Profiler {
     pub fn count(&self, name: &str, delta: i64) {
         let total = self.inner.metrics.counter(name).add(delta);
         if self.is_enabled() {
-            let ts = self.now_us();
-            self.push(Event::counter(
-                name,
-                ts,
-                total,
-                self.inner.pid.load(Ordering::Relaxed),
-                current_tid(),
-            ));
+            let mut event = self.here(name.to_string(), "metric", Phase::Counter, self.now_us());
+            event.args.push(("value".to_string(), ArgValue::Int(total)));
+            self.push(event);
         }
     }
 
@@ -200,29 +252,9 @@ impl Profiler {
     }
 
     fn record_span(&self, name: String, cat: &'static str, ts_us: f64, dur: Duration) {
-        self.push(Event {
-            name,
-            cat: cat.to_string(),
-            ph: Phase::Complete,
-            ts_us,
-            dur_us: dur.as_secs_f64() * 1e6,
-            pid: self.inner.pid.load(Ordering::Relaxed),
-            tid: current_tid(),
-            args: Vec::new(),
-        });
-    }
-
-    /// Attaches `args` to the most recent recorded event, if any (used to
-    /// annotate a just-closed span with result counts).
-    pub fn annotate_last(&self, args: &[(&str, ArgValue)]) {
-        if !self.is_enabled() {
-            return;
-        }
-        if let Some(last) = self.inner.events.lock().expect("events lock").last_mut() {
-            for (k, v) in args {
-                last.args.push((k.to_string(), v.clone()));
-            }
-        }
+        let mut event = self.here(name, cat, Phase::Complete, ts_us);
+        event.dur_us = dur.as_secs_f64() * 1e6;
+        self.push(event);
     }
 }
 
@@ -282,7 +314,7 @@ mod tests {
         std::thread::sleep(Duration::from_millis(2));
         let dur = sp.finish();
         p.count("c", 3);
-        p.instant("t", "marker");
+        p.event("marker", || [("k", ArgValue::Int(1))]);
         assert!(dur >= Duration::from_millis(2));
         assert!(
             p.events().is_empty(),
@@ -339,18 +371,6 @@ mod tests {
         assert_eq!(
             events[1].args,
             vec![("value".to_string(), ArgValue::Int(7))]
-        );
-    }
-
-    #[test]
-    fn annotate_last_attaches_args() {
-        let p = Profiler::new();
-        p.set_enabled(true);
-        p.span("t", "s").finish();
-        p.annotate_last(&[("k", ArgValue::Int(9))]);
-        assert_eq!(
-            p.events()[0].args,
-            vec![("k".to_string(), ArgValue::Int(9))]
         );
     }
 

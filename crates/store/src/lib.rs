@@ -188,42 +188,18 @@ impl Store {
         format!("{namespace}.{key:016x}.rec")
     }
 
-    /// Looks up `(namespace, key)`. A torn or corrupt entry is deleted
-    /// and reported as a miss; only a valid record is a hit.
-    ///
-    /// Every lookup is timed into the `latency.store.hit`/`.miss`
-    /// histograms and, when an event log is installed, emits a `store`
-    /// line joined to the ambient request id — worker threads running
-    /// DAG nodes inherit the daemon request's id, so these lines trace
-    /// back to the request that caused the lookup.
-    pub fn get(&self, namespace: &str, key: u64) -> Option<Vec<u8>> {
-        let span = yalla_obs::span("store", "get");
-        let result = self.get_uninstrumented(namespace, key).map(|v| v.to_vec());
-        let dur = span.finish();
-        let hist = if result.is_some() {
-            yalla_obs::metrics::names::LATENCY_STORE_HIT
-        } else {
-            yalla_obs::metrics::names::LATENCY_STORE_MISS
-        };
-        yalla_obs::observe(hist, dur);
-        if yalla_obs::log::is_active() {
-            yalla_obs::log::emit(
-                "store",
-                &[
-                    ("ns", namespace.into()),
-                    ("hit", yalla_obs::ArgValue::Int(i64::from(result.is_some()))),
-                    ("dur_us", yalla_obs::ArgValue::Int(dur.as_micros() as i64)),
-                ],
-            );
-        }
-        result
-    }
-
     /// Looks up `(namespace, key)` and serves the hit zero-copy: the
     /// record file is read once, validated once (header + checksum),
     /// and the returned [`PayloadView`] borrows the payload bytes in
-    /// place — no copy, no per-field allocation. This is the warm-path
-    /// entry point; hits additionally bump `store.zero_copy_hits`.
+    /// place — no copy, no per-field allocation. A torn or corrupt entry
+    /// is deleted and reported as a miss; hits bump
+    /// `store.zero_copy_hits`.
+    ///
+    /// Every lookup is timed into the `latency.store.hit`/`.miss`
+    /// histograms and recorded as a `store` event joined to the ambient
+    /// request id — worker threads running DAG nodes inherit the daemon
+    /// request's id, so these events trace back to the request that
+    /// caused the lookup.
     pub fn get_view(&self, namespace: &str, key: u64) -> Option<PayloadView> {
         let span = yalla_obs::span("store", "get");
         let result = self.get_uninstrumented(namespace, key);
@@ -235,16 +211,13 @@ impl Store {
             yalla_obs::metrics::names::LATENCY_STORE_MISS
         };
         yalla_obs::observe(hist, dur);
-        if yalla_obs::log::is_active() {
-            yalla_obs::log::emit(
-                "store",
-                &[
-                    ("ns", namespace.into()),
-                    ("hit", yalla_obs::ArgValue::Int(i64::from(result.is_some()))),
-                    ("dur_us", yalla_obs::ArgValue::Int(dur.as_micros() as i64)),
-                ],
-            );
-        }
+        yalla_obs::event("store", || {
+            [
+                ("ns", namespace.into()),
+                ("hit", i64::from(result.is_some()).into()),
+                ("dur_us", (dur.as_micros() as i64).into()),
+            ]
+        });
         result
     }
 
@@ -411,9 +384,12 @@ mod tests {
     #[test]
     fn put_get_roundtrip_and_stats() {
         let store = temp_store("roundtrip", DEFAULT_CAPACITY);
-        assert_eq!(store.get(NS_RUN, 1), None);
+        assert_eq!(store.get_view(NS_RUN, 1).as_deref(), None);
         store.put(NS_RUN, 1, b"artifact");
-        assert_eq!(store.get(NS_RUN, 1).as_deref(), Some(b"artifact".as_ref()));
+        assert_eq!(
+            store.get_view(NS_RUN, 1).as_deref(),
+            Some(b"artifact".as_ref())
+        );
         assert!(store.contains(NS_RUN, 1));
         assert!(!store.contains(NS_RUN, 2));
         let stats = store.stats();
@@ -449,8 +425,11 @@ mod tests {
         let store = temp_store("ns", DEFAULT_CAPACITY);
         store.put(NS_RUN, 7, b"run");
         store.put(NS_PARSE, 7, b"parse");
-        assert_eq!(store.get(NS_RUN, 7).as_deref(), Some(b"run".as_ref()));
-        assert_eq!(store.get(NS_PARSE, 7).as_deref(), Some(b"parse".as_ref()));
+        assert_eq!(store.get_view(NS_RUN, 7).as_deref(), Some(b"run".as_ref()));
+        assert_eq!(
+            store.get_view(NS_PARSE, 7).as_deref(),
+            Some(b"parse".as_ref())
+        );
         assert_eq!(store.keys(NS_RUN), vec![7]);
         assert_eq!(store.keys(NS_SERVE), Vec::<u64>::new());
         cleanup(&store);
@@ -464,7 +443,7 @@ mod tests {
         drop(store);
         let again = Store::open(&dir).expect("reopen");
         assert_eq!(
-            again.get(NS_RUN, 42).as_deref(),
+            again.get_view(NS_RUN, 42).as_deref(),
             Some(b"persisted".as_ref())
         );
         cleanup(&again);
@@ -479,7 +458,7 @@ mod tests {
         fs::remove_file(dir.join(index::INDEX_FILE)).expect("lose index");
         let again = Store::open(&dir).expect("reopen");
         assert_eq!(
-            again.get(NS_RUN, 9).as_deref(),
+            again.get_view(NS_RUN, 9).as_deref(),
             Some(b"orphan-to-be".as_ref())
         );
         assert!(again.stats().bytes > 0, "orphan adopted into the index");
@@ -495,14 +474,14 @@ mod tests {
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x01;
         fs::write(&path, bytes).expect("damage entry");
-        assert_eq!(store.get(NS_RUN, 5), None);
+        assert_eq!(store.get_view(NS_RUN, 5).as_deref(), None);
         assert!(!path.exists(), "corrupt entry deleted");
         let stats = store.stats();
         assert_eq!((stats.corrupt, stats.misses, stats.hits), (1, 1, 0));
         // The slot is clean again: a fresh put works.
         store.put(NS_RUN, 5, b"replacement");
         assert_eq!(
-            store.get(NS_RUN, 5).as_deref(),
+            store.get_view(NS_RUN, 5).as_deref(),
             Some(b"replacement".as_ref())
         );
         cleanup(&store);
@@ -518,7 +497,7 @@ mod tests {
         store.put(NS_RUN, 1, &payload);
         store.put(NS_RUN, 2, &payload);
         // Touch 1 so 2 is the LRU.
-        assert!(store.get(NS_RUN, 1).is_some());
+        assert!(store.get_view(NS_RUN, 1).is_some());
         store.put(NS_RUN, 3, &payload);
         assert!(store.stats().bytes <= overhead * 2 + 16, "within bound");
         assert!(store.stats().evictions >= 1);
@@ -533,9 +512,9 @@ mod tests {
         let a = temp_store("shared", DEFAULT_CAPACITY);
         let b = Store::open(a.dir()).expect("second handle");
         a.put(NS_RUN, 11, b"from a");
-        assert_eq!(b.get(NS_RUN, 11).as_deref(), Some(b"from a".as_ref()));
+        assert_eq!(b.get_view(NS_RUN, 11).as_deref(), Some(b"from a".as_ref()));
         b.put(NS_RUN, 12, b"from b");
-        assert_eq!(a.get(NS_RUN, 12).as_deref(), Some(b"from b".as_ref()));
+        assert_eq!(a.get_view(NS_RUN, 12).as_deref(), Some(b"from b".as_ref()));
         cleanup(&a);
     }
 
@@ -556,15 +535,15 @@ mod tests {
                     for i in 0..40u64 {
                         let key = (t << 32) | i;
                         store.put(NS_RUN, key, &payload);
-                        if let Some(back) = store.get(NS_RUN, key) {
+                        if let Some(back) = store.get_view(NS_RUN, key) {
                             // A read either misses (evicted/raced) or
                             // returns exactly what this thread wrote —
                             // never torn bytes.
-                            assert_eq!(back, payload, "torn read on key {key:x}");
+                            assert_eq!(*back, *payload, "torn read on key {key:x}");
                         }
                         // Cross-thread reads must also be whole records.
                         let other = ((t + 1) % 4) << 32 | i;
-                        if let Some(back) = store.get(NS_RUN, other) {
+                        if let Some(back) = store.get_view(NS_RUN, other) {
                             assert!(back.iter().all(|&b| b == back[0]), "torn cross-thread read");
                         }
                     }
@@ -592,7 +571,11 @@ mod tests {
             store.set_sabotage(mode);
             store.put(NS_RUN, 1, b"doomed payload bytes");
             store.set_sabotage(Sabotage::None);
-            assert_eq!(store.get(NS_RUN, 1), None, "{mode:?} must miss");
+            assert_eq!(
+                store.get_view(NS_RUN, 1).as_deref(),
+                None,
+                "{mode:?} must miss"
+            );
             let stats = store.stats();
             assert_eq!(
                 stats.corrupt,
@@ -602,7 +585,10 @@ mod tests {
             assert_eq!(stats.misses, 1, "{mode:?} miss count");
             // The store recovers: an honest put lands.
             store.put(NS_RUN, 1, b"recovered");
-            assert_eq!(store.get(NS_RUN, 1).as_deref(), Some(b"recovered".as_ref()));
+            assert_eq!(
+                store.get_view(NS_RUN, 1).as_deref(),
+                Some(b"recovered".as_ref())
+            );
             cleanup(&store);
         }
     }

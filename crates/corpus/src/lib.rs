@@ -139,3 +139,111 @@ pub struct Subject {
 }
 
 pub use subjects::{all_subjects, subject_by_name, try_subject_by_name};
+
+/// `text` with the first integer literal inside a function body bumped
+/// in its last digit (`9` wraps to `0`, so no span moves), or `None`
+/// when there is none. A function body is a brace block opened right
+/// after `)` or a trailing `const`; comments, string and character
+/// literals and preprocessor lines are skipped, and a literal right after
+/// `<` or `[` (a template argument or an array bound) does not count.
+/// Changing such a literal leaves the set of used header symbols as it
+/// was: it is the "body edit" of the incremental benches and tests.
+pub fn bump_body_literal(text: &str) -> Option<String> {
+    let b = text.as_bytes();
+    let word = |c: u8| c.is_ascii_alphanumeric() || c == b'_';
+    // One entry per open brace: whether it opens (or sits in) a body.
+    let mut braces: Vec<bool> = Vec::new();
+    let (mut i, mut line_start, mut prev) = (0usize, true, 0u8);
+    let mut prev_word = String::new();
+    while i < b.len() {
+        let c = b[i];
+        if c == b'\n' {
+            line_start = true;
+            i += 1;
+            continue;
+        }
+        if c.is_ascii_whitespace() {
+            i += 1;
+            continue;
+        }
+        if line_start && c == b'#' {
+            while i < b.len() && !(b[i] == b'\n' && b[i - 1] != b'\\') {
+                i += 1;
+            }
+            continue;
+        }
+        line_start = false;
+        match c {
+            b'/' if b.get(i + 1) == Some(&b'/') => {
+                while i < b.len() && b[i] != b'\n' {
+                    i += 1;
+                }
+                continue;
+            }
+            b'/' if b.get(i + 1) == Some(&b'*') => {
+                i += 2;
+                while i + 1 < b.len() && !(b[i] == b'*' && b[i + 1] == b'/') {
+                    i += 1;
+                }
+                i += 2;
+                continue;
+            }
+            b'"' | b'\'' => {
+                i += 1;
+                while i < b.len() && b[i] != c {
+                    i += if b[i] == b'\\' { 2 } else { 1 };
+                }
+                i += 1;
+            }
+            b'{' => {
+                let in_body = braces.last() == Some(&true);
+                braces.push(in_body || prev == b')' || prev_word == "const");
+                i += 1;
+            }
+            b'}' => {
+                braces.pop();
+                i += 1;
+            }
+            _ if word(c) => {
+                let start = i;
+                while i < b.len() && word(b[i]) {
+                    i += 1;
+                }
+                let is_int = b[start..i].iter().all(u8::is_ascii_digit);
+                if is_int && braces.last() == Some(&true) && prev != b'<' && prev != b'[' {
+                    let at = i - 1;
+                    let digit = (b[at] - b'0' + 1) % 10;
+                    let mut out = text.to_string();
+                    out.replace_range(at..=at, &digit.to_string());
+                    return Some(out);
+                }
+                prev_word = text[start..i].to_string();
+                prev = b[i - 1];
+                continue;
+            }
+            _ => i += 1,
+        }
+        prev = c;
+        prev_word.clear();
+    }
+    None
+}
+
+#[cfg(test)]
+mod tests {
+    use super::bump_body_literal;
+
+    #[test]
+    fn bumps_only_literals_inside_function_bodies() {
+        let src = "#define N 4\nint g = 7;\ntemplate <int K> struct A { int a[3]; };\n\
+                   // 5\nint f(int x) const { A<2> y; return x + 19; }\n";
+        let out = bump_body_literal(src).unwrap();
+        assert_eq!(out, src.replace("x + 19", "x + 10"));
+        assert_eq!(bump_body_literal("int f() { return g<3>(); }"), None);
+        assert_eq!(bump_body_literal("struct S { int v = 1; };"), None);
+        assert_eq!(
+            bump_body_literal("void f() { [&](int i) { h(i, 8); }; }").as_deref(),
+            Some("void f() { [&](int i) { h(i, 9); }; }")
+        );
+    }
+}

@@ -8,17 +8,24 @@
 //!   cost of revalidating the content hashes),
 //! * **tool-warm-edit** — a `rerun()` after appending a trailing comment
 //!   to the main source (one TU re-parses, but the used-symbol set is
-//!   unchanged so plan/emit stay cached — the paper's §6 steady state).
+//!   unchanged so plan/emit stay cached — the paper's §6 steady state),
+//! * **tool-warm-body-edit** — a `rerun()` after bumping the first integer
+//!   literal inside a function body of the main source
+//!   ([`yalla_corpus::bump_body_literal`]); subjects without one have no
+//!   such row.
 //!
 //! Each record's phases are the engine's span-measured [`Timings`] (zero
 //! for cached stages) plus a `wall` entry with the end-to-end rerun time.
-//! Writes `results/BENCH_warm.json`.
+//! Writes `results/BENCH_warm.json`, and prints each subject's
+//! warm-edit / cold ratio against the 25 % target. Exits non-zero when a
+//! run fails, a no-op rerun is not below cold, or a warm edit costs half
+//! a cold run or more.
 
 use std::time::Instant;
 
 use yalla_bench::results::{write_records, RunRecord};
 use yalla_core::{Options, Session, SessionRun, Timings, YallaError};
-use yalla_corpus::all_subjects;
+use yalla_corpus::{all_subjects, bump_body_literal};
 
 fn record(subject: &str, config: &str, timings: &Timings, wall_us: f64) -> RunRecord {
     RunRecord {
@@ -90,6 +97,19 @@ fn main() {
                 continue;
             }
         };
+        // A literal in a function body: reparse, same used set.
+        let body = bump_body_literal(session.vfs().text(id)).map(|bumped| {
+            session.apply_edit(main, bumped).expect("edit applies");
+            timed(&mut session)
+        });
+        let body = match body.transpose() {
+            Ok(body) => body,
+            Err(e) => {
+                eprintln!("{}: warm-body-edit run failed: {e}", subject.name);
+                failures += 1;
+                continue;
+            }
+        };
 
         if warm_us >= cold_us {
             eprintln!(
@@ -98,13 +118,23 @@ fn main() {
             );
             failures += 1;
         }
+        let ratio = edit_us / cold_us;
+        if ratio >= 0.5 {
+            eprintln!(
+                "{}: warm edit ({edit_us:.0} µs) not below half of cold ({cold_us:.0} µs)",
+                subject.name
+            );
+            failures += 1;
+        }
         println!(
-            "{:<10} {:>12.0} {:>12.0} {:>14.0}  {:>6.0}x  (edit reparsed {})",
+            "{:<10} {:>12.0} {:>12.0} {:>14.0}  {:>6.0}x  edit/cold {:>5.1} % ({} the 25 % target, edit reparsed {})",
             subject.name,
             cold_us,
             warm_us,
             edit_us,
             cold_us / warm_us.max(1.0),
+            ratio * 100.0,
+            if ratio <= 0.25 { "within" } else { "above" },
             edit.files_reparsed,
         );
         records.push(record(
@@ -125,6 +155,14 @@ fn main() {
             &edit.result.timings,
             edit_us,
         ));
+        if let Some((body, body_us)) = body {
+            records.push(record(
+                subject.name,
+                "tool-warm-body-edit",
+                &body.result.timings,
+                body_us,
+            ));
+        }
     }
 
     match write_records(std::path::Path::new("results"), "warm", &records) {

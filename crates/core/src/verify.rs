@@ -13,19 +13,24 @@
 //!    header (the wrapper compile of Figure 6 step ③).
 //!
 //! Checks 1 and 2 share one parse (`VerifyInputs::parse_user_tu`), which
-//! also yields the after-substitution statistics. Check 3
+//! also yields the after-substitution statistics; a session keeps the
+//! substituted main source's preamble ([`yalla_cpp::preamble`]), so that
+//! parse re-processes only the main file's body while the lightweight
+//! header and the other included files are unchanged. Check 3
 //! (`VerifyInputs::check_wrappers`) preprocesses the whole expensive
 //! header; a passing check leaves a `WrappersMemo` (the wrappers TU's
 //! depfile), and a later check whose inputs still match it
 //! (`VerifyInputs::reuses`) has the same verdict without a parse.
 
 use std::collections::{BTreeMap, HashSet};
+use std::sync::{Arc, Mutex};
 
 use yalla_analysis::incomplete::check_incomplete_rules;
 use yalla_analysis::symbols::{SymbolKind, SymbolTable};
 use yalla_cpp::cache::{depfile, depfile_valid};
 use yalla_cpp::frontend::{Frontend, ParsedTu};
 use yalla_cpp::hash;
+use yalla_cpp::preamble::Preamble;
 use yalla_cpp::vfs::{self, Vfs};
 
 use crate::report::Verification;
@@ -61,7 +66,9 @@ pub(crate) struct WrappersMemo {
 impl VerifyInputs<'_> {
     /// The parse behind checks 1 and 2: the substituted user TU rooted at
     /// `main_source`, i.e. the original tree with the `rewritten`
-    /// `(path, text)` sources and the lightweight header overlaid.
+    /// `(path, text)` sources and the lightweight header overlaid. It
+    /// resumes from the main source's `preamble` while that still fits
+    /// the overlaid tree, and leaves there the preamble it used or built.
     ///
     /// # Errors
     ///
@@ -70,13 +77,20 @@ impl VerifyInputs<'_> {
         &self,
         rewritten: impl IntoIterator<Item = (&'s str, &'s str)>,
         main_source: &str,
+        preamble: &Mutex<Option<Arc<Preamble>>>,
     ) -> yalla_cpp::Result<ParsedTu> {
         let mut user_vfs = self.original_vfs.clone();
         for (path, text) in rewritten {
             user_vfs.add_file(path, text);
         }
         user_vfs.add_file(self.lightweight_name, self.lightweight);
-        Frontend::with_defines(user_vfs, self.defines).parse_translation_unit(main_source)
+        let previous = preamble.lock().expect("preamble lock").clone();
+        let (tu, used) = Frontend::with_defines(user_vfs, self.defines)
+            .parse_resuming(main_source, previous.as_ref())?;
+        if used.is_some() {
+            *preamble.lock().expect("preamble lock") = used;
+        }
+        Ok(tu)
     }
 
     /// Check 3: parses the wrappers file against the real header. Returns
@@ -177,6 +191,7 @@ pub fn verify(
             .iter()
             .map(|(path, text)| (path.as_str(), text.as_str())),
         main_source,
+        &Mutex::default(),
     );
     let sources = check_user_tu(user_tu.ok().as_ref());
     Verification {

@@ -393,14 +393,15 @@ pub struct VarDecl {
 
 /// The kind of a declaration.
 ///
-/// Class, enum, alias and function payloads sit behind an [`Arc`], so a
-/// symbol table (or any other index over a parse) shares them with the
-/// AST instead of copying them; `Arc`'s `Debug` is its payload's, so the
-/// rendered tree reads the same.
+/// Namespace, class, enum, alias and function payloads sit behind an
+/// [`Arc`], so a symbol table (or any other index over a parse) shares
+/// them with the AST instead of copying them, and so does a preamble's
+/// copy of its top-level declarations; `Arc`'s `Debug` is its payload's,
+/// so the rendered tree reads the same.
 #[derive(Debug, Clone, PartialEq)]
 pub enum DeclKind {
     /// A namespace.
-    Namespace(NamespaceDecl),
+    Namespace(Arc<NamespaceDecl>),
     /// A class/struct (declaration or definition).
     Class(Arc<ClassDecl>),
     /// An enum.
@@ -568,11 +569,11 @@ mod tests {
             Span::dummy(),
         );
         let ns = Decl::new(
-            DeclKind::Namespace(NamespaceDecl {
+            DeclKind::Namespace(Arc::new(NamespaceDecl {
                 name: "Kokkos".into(),
                 is_inline: false,
                 decls: vec![inner],
-            }),
+            })),
             Span::dummy(),
         );
         let tu = TranslationUnit { decls: vec![ns] };

@@ -45,20 +45,20 @@ impl Parser {
             let mut name_iter = names.into_iter().rev();
             let innermost = name_iter.next().unwrap_or_default();
             let mut decl = Decl::new(
-                DeclKind::Namespace(NamespaceDecl {
+                DeclKind::Namespace(Arc::new(NamespaceDecl {
                     name: innermost,
                     is_inline,
                     decls,
-                }),
+                })),
                 start.to(end),
             );
             for outer in name_iter {
                 decl = Decl::new(
-                    DeclKind::Namespace(NamespaceDecl {
+                    DeclKind::Namespace(Arc::new(NamespaceDecl {
                         name: outer,
                         is_inline: false,
                         decls: vec![decl],
-                    }),
+                    })),
                     start.to(end),
                 );
             }
@@ -116,11 +116,11 @@ impl Parser {
                 }
                 let end = self.expect_punct(Punct::RBrace)?;
                 return Ok(Decl::new(
-                    DeclKind::Namespace(NamespaceDecl {
+                    DeclKind::Namespace(Arc::new(NamespaceDecl {
                         name: String::new(),
                         is_inline: true,
                         decls,
-                    }),
+                    })),
                     start.to(end),
                 ));
             }

@@ -3,7 +3,7 @@
 use std::collections::HashSet;
 
 use crate::error::{CppError, Result};
-use crate::lex::{lex_file, Punct, Token, TokenKind};
+use crate::lex::{lex_file, Lexer, Punct, Token, TokenKind};
 use crate::loc::{FileId, Span};
 use crate::pp::cond::eval_condition;
 use crate::pp::macros::{MacroDef, MacroTable};
@@ -53,6 +53,46 @@ struct CondFrame {
     parent_active: bool,
 }
 
+/// Where the scan of one file's tokens stands.
+#[derive(Debug, Default)]
+struct FileScan {
+    /// Index of the next token to process.
+    pos: usize,
+    /// Line of the previous token (0 before the first).
+    prev_line: u32,
+    /// Open conditionals, innermost last.
+    conds: Vec<CondFrame>,
+    /// Active non-directive tokens not yet macro-expanded.
+    pending: Vec<Token>,
+    /// The file's active lines counted so far.
+    counted: HashSet<u32>,
+}
+
+/// The preprocessor's state at the end of a main file's leading
+/// directive block: everything the rest of the file is preprocessed
+/// against. [`crate::preamble::Preamble`] wraps it with the parsed
+/// prefix and the rule for when it may be reused.
+#[derive(Debug)]
+pub(crate) struct PpSnapshot {
+    /// The macro table, with its expansion count.
+    pub(crate) macros: MacroTable,
+    /// Files that declared `#pragma once`.
+    pub(crate) pragma_once: HashSet<FileId>,
+    /// Statistics so far; the main file's own lines are in `main_lines`.
+    pub(crate) stats: PpStats,
+    /// The main file's active lines counted so far.
+    pub(crate) main_lines: HashSet<u32>,
+    /// Byte offset in the main file just past the newline that ends the
+    /// block's last directive.
+    pub(crate) offset: usize,
+    /// The lexer's line counter at `offset`.
+    pub(crate) line: u32,
+    /// Tokens the block delivered (every one from an included file).
+    pub(crate) tokens: usize,
+    /// Line of the last of those tokens.
+    pub(crate) last_line: Option<u32>,
+}
+
 impl<'v> Preprocessor<'v> {
     /// Creates a preprocessor over `vfs`.
     pub fn new(vfs: &'v Vfs) -> Self {
@@ -77,44 +117,143 @@ impl<'v> Preprocessor<'v> {
     /// # Errors
     ///
     /// See [`preprocess`].
-    pub fn run(mut self, main_path: &str) -> Result<PpOutput> {
+    pub fn run(self, main_path: &str) -> Result<PpOutput> {
+        self.run_main(main_path, None).map(|(out, _)| out)
+    }
+
+    /// Preprocesses `main_path`. Without `resume`, the whole TU is
+    /// preprocessed and the state at the end of the main file's leading
+    /// directive block is snapshotted on the way (when the block ends
+    /// where a preamble can: see [`Preprocessor::snapshot`]). With it,
+    /// that state is restored and only the rest of the main file is
+    /// lexed and preprocessed: the output holds the rest's tokens and the
+    /// whole TU's statistics. The `pp.*` counters count the work done.
+    pub(crate) fn run_main(
+        mut self,
+        main_path: &str,
+        resume: Option<&PpSnapshot>,
+    ) -> Result<(PpOutput, Option<PpSnapshot>)> {
         let main = self
             .vfs
             .lookup(main_path)
             .ok_or_else(|| CppError::FileNotFound {
                 path: main_path.into(),
             })?;
-        self.process_file(main, true)?;
+        let text = self.vfs.text(main);
+        let _file_span = yalla_obs::span("pp", self.vfs.path(main));
+        let mut snapshot = None;
+        let mut scan = FileScan::default();
+        let base = match resume {
+            None => {
+                let tokens = self.enter(main, true)?;
+                self.scan(main, &tokens, &mut scan, true)?;
+                snapshot = self.snapshot(main, &tokens, &scan);
+                self.scan(main, &tokens, &mut scan, false)?;
+                None
+            }
+            Some(snap) => {
+                self.macros = snap.macros.clone();
+                self.pragma_once = snap.pragma_once.clone();
+                self.stats = snap.stats.clone();
+                self.depth = 1;
+                scan.counted = snap.main_lines.clone();
+                let tokens = {
+                    let _lex_span = yalla_obs::span("pp", "lex");
+                    Lexer::resume(main, text, snap.offset, snap.line).run()?
+                };
+                self.scan(main, &tokens, &mut scan, false)?;
+                Some(snap)
+            }
+        };
+        self.leave(main, scan)?;
         self.stats.macro_expansions = self.macros.expansions;
         {
             use yalla_obs::metrics::names;
+            // Work done: on a resumed run, the main file plus whatever
+            // entered after its leading block.
+            let (files, lines, edges, expansions) = match base {
+                None => (0, 0, 0, 0),
+                Some(b) => (
+                    b.stats.files_entered.len() - 1,
+                    b.stats.lines_compiled + b.main_lines.len(),
+                    b.stats.include_edges.len(),
+                    b.macros.expansions,
+                ),
+            };
+            let s = &self.stats;
             yalla_obs::count(
                 names::FILES_PREPROCESSED,
-                self.stats.files_entered.len() as i64,
+                (s.files_entered.len() - files) as i64,
             );
-            yalla_obs::count(names::LINES_PREPROCESSED, self.stats.lines_compiled as i64);
+            yalla_obs::count(names::LINES_PREPROCESSED, (s.lines_compiled - lines) as i64);
             yalla_obs::count(
                 names::INCLUDES_RESOLVED,
-                self.stats.include_edges.len() as i64,
+                (s.include_edges.len() - edges) as i64,
             );
-            yalla_obs::count(names::MACRO_EXPANSIONS, self.stats.macro_expansions as i64);
+            yalla_obs::count(
+                names::MACRO_EXPANSIONS,
+                (s.macro_expansions - expansions) as i64,
+            );
         }
-        let last_line = self.out.last().map(|t| t.line).unwrap_or(1);
+        let last_line = self
+            .out
+            .last()
+            .map(|t| t.line)
+            .or(base.and_then(|b| b.last_line))
+            .unwrap_or(1);
         self.out.push(Token {
             kind: TokenKind::Eof,
             span: Span::new(main, 0, 0),
             line: last_line,
         });
-        Ok(PpOutput {
+        let out = PpOutput {
             tokens: self.out,
             stats: self.stats,
+        };
+        Ok((out, snapshot))
+    }
+
+    /// The state after the main file's leading directive block, which
+    /// the first scan of `tokens` stopped behind. There is none when:
+    ///
+    /// * the block is empty, or a conditional is still open where it
+    ///   ends;
+    /// * no newline ends its last directive: the preamble's bytes run
+    ///   through that newline, so that an edit to the directive's line
+    ///   (`#define X 1` → `#define X 12`) leaves them no longer a prefix
+    ///   of the new text;
+    /// * lexing from that newline does not give the tokens the whole-file
+    ///   lex gave (a block comment or a line splice straddles it);
+    /// * the block includes the main file itself, whose later text it
+    ///   would then depend on.
+    fn snapshot(&self, main: FileId, tokens: &[Token], scan: &FileScan) -> Option<PpSnapshot> {
+        if scan.pos == 0 || !scan.conds.is_empty() {
+            return None;
+        }
+        let text = self.vfs.text(main);
+        let last = &tokens[scan.pos - 1];
+        let offset = last.span.end as usize + text[last.span.end as usize..].find('\n')? + 1;
+        let line = last.line + 1;
+        let rest = Lexer::resume(main, text, offset, line).run().ok()?;
+        if rest[..] != tokens[scan.pos..]
+            || self.stats.include_edges.iter().any(|&(_, to)| to == main)
+        {
+            return None;
+        }
+        Some(PpSnapshot {
+            macros: self.macros.clone(),
+            pragma_once: self.pragma_once.clone(),
+            stats: self.stats.clone(),
+            main_lines: scan.counted.clone(),
+            offset,
+            line,
+            tokens: self.out.len(),
+            last_line: self.out.last().map(|t| t.line),
         })
     }
 
-    fn process_file(&mut self, file: FileId, is_main: bool) -> Result<()> {
-        if self.pragma_once.contains(&file) {
-            return Ok(());
-        }
+    /// Enters `file`, within the include-depth limit, and lexes it.
+    fn enter(&mut self, file: FileId, is_main: bool) -> Result<Vec<Token>> {
         if self.depth >= MAX_INCLUDE_DEPTH {
             return Err(CppError::IncludeCycle {
                 name: self.vfs.path(file).to_string(),
@@ -123,59 +262,82 @@ impl<'v> Preprocessor<'v> {
         }
         self.depth += 1;
         self.stats.enter_file(file, is_main);
+        let _lex_span = yalla_obs::span("pp", "lex");
+        lex_file(file, self.vfs.text(file))
+    }
+
+    /// Finishes `file`'s scan: expands what is pending and counts its
+    /// lines.
+    fn leave(&mut self, file: FileId, mut scan: FileScan) -> Result<()> {
+        self.flush(&mut scan.pending)?;
+        self.stats.add_lines(file, scan.counted.len());
+        self.depth -= 1;
+        Ok(())
+    }
+
+    fn process_file(&mut self, file: FileId, is_main: bool) -> Result<()> {
+        if self.pragma_once.contains(&file) {
+            return Ok(());
+        }
         // One span per file entry; recursion through `handle_include` nests
         // these, so the trace mirrors the include tree.
         let _file_span = yalla_obs::span("pp", self.vfs.path(file));
+        let tokens = self.enter(file, is_main)?;
+        let mut scan = FileScan::default();
+        self.scan(file, &tokens, &mut scan, false)?;
+        self.leave(file, scan)
+    }
 
-        let tokens = {
-            let _lex_span = yalla_obs::span("pp", "lex");
-            lex_file(file, self.vfs.text(file))?
-        };
-        let mut conds: Vec<CondFrame> = Vec::new();
-        let mut pending: Vec<Token> = Vec::new();
-        let mut counted_lines: HashSet<u32> = HashSet::new();
-
-        let mut i = 0;
-        let mut prev_line = 0u32;
-        while i < tokens.len() {
-            let tok = &tokens[i];
+    /// Processes `tokens` of `file` from `scan.pos`: directives are
+    /// handled, active tokens macro-expanded into the output. With
+    /// `stop_at_code`, stops before the first active token that is not
+    /// part of a directive (the end of a leading directive block).
+    fn scan(
+        &mut self,
+        file: FileId,
+        tokens: &[Token],
+        scan: &mut FileScan,
+        stop_at_code: bool,
+    ) -> Result<()> {
+        while scan.pos < tokens.len() {
+            let tok = &tokens[scan.pos];
             if matches!(tok.kind, TokenKind::Eof) {
                 break;
             }
-            let at_line_start = tok.line != prev_line;
-            prev_line = tok.line;
-            let active = conds.iter().all(|c| c.active);
+            let at_line_start = tok.line != scan.prev_line;
+            let active = scan.conds.iter().all(|c| c.active);
 
             if at_line_start && tok.kind.is_punct(Punct::Hash) {
                 // Collect the directive's tokens (same logical line).
                 let dir_line = tok.line;
-                let mut j = i + 1;
+                let mut j = scan.pos + 1;
                 while j < tokens.len()
                     && tokens[j].line == dir_line
                     && !matches!(tokens[j].kind, TokenKind::Eof)
                 {
                     j += 1;
                 }
-                let dir = &tokens[i + 1..j];
-                self.flush(&mut pending)?;
+                let dir = &tokens[scan.pos + 1..j];
+                self.flush(&mut scan.pending)?;
                 if active {
-                    counted_lines.insert(dir_line);
+                    scan.counted.insert(dir_line);
                 }
-                self.handle_directive(file, dir, tok.span, &mut conds, active)?;
-                i = j;
-                prev_line = dir_line;
+                self.handle_directive(file, dir, tok.span, &mut scan.conds, active)?;
+                scan.pos = j;
+                scan.prev_line = dir_line;
                 continue;
             }
 
             if active {
-                counted_lines.insert(tok.line);
-                pending.push(tok.clone());
+                if stop_at_code {
+                    return Ok(());
+                }
+                scan.counted.insert(tok.line);
+                scan.pending.push(tok.clone());
             }
-            i += 1;
+            scan.prev_line = tok.line;
+            scan.pos += 1;
         }
-        self.flush(&mut pending)?;
-        self.stats.add_lines(file, counted_lines.len());
-        self.depth -= 1;
         Ok(())
     }
 

@@ -11,6 +11,7 @@ mod engine;
 mod macros;
 mod stats;
 
+pub(crate) use engine::PpSnapshot;
 pub use engine::{preprocess, PpOutput, Preprocessor};
 pub use macros::{MacroDef, MacroTable};
 pub use stats::PpStats;

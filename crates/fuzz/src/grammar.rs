@@ -26,6 +26,9 @@ pub const DRIVER_SOURCE: &str = "driver.cpp";
 pub const LIB_NAMESPACE: &str = "fz";
 /// Entry point the oracle calls on the machine (defined by the driver).
 pub const ENTRY: &str = "fuzz_entry";
+/// Macro the library tests with `#ifdef` when
+/// [`ProjectModel::wide_flag`] is set.
+pub const WIDE_FLAG: &str = "FZ_WIDE";
 
 /// One method of a generated library class.
 #[derive(Debug, Clone)]
@@ -179,6 +182,12 @@ pub struct ProjectModel {
     pub user_fns: Vec<UserFnModel>,
     /// Driver calls.
     pub driver_calls: Vec<DriverCall>,
+    /// `Some(defined)` makes the library declare one more function under
+    /// `#ifdef` [`WIDE_FLAG`], and the main source `#define` it at the
+    /// top of its include block when `defined`: toggling it changes the
+    /// library's expansion through the main source's directives alone.
+    /// `None` (what [`ProjectModel::generate`] draws) leaves both out.
+    pub wide_flag: Option<bool>,
 }
 
 impl ProjectModel {
@@ -253,6 +262,7 @@ impl ProjectModel {
             has_apply,
             user_fns: Vec::new(),
             driver_calls: Vec::new(),
+            wide_flag: None,
         };
         for u in 0..n_user {
             let fun = model.gen_user_fn(u, &mut rng);
@@ -475,6 +485,11 @@ impl ProjectModel {
                 "template <typename F>\ninline int apply(F f, int n) {\n  int acc = 0;\n  for (int i = 0; i < n; i++) { f(i); acc = acc + i; }\n  return acc;\n}\n",
             );
         }
+        if self.wide_flag.is_some() {
+            out.push_str(&format!(
+                "#ifdef {WIDE_FLAG}\ninline int wide(int a) {{ return a * 2; }}\n#endif\n"
+            ));
+        }
         out.push_str(&format!("}} // namespace {LIB_NAMESPACE}\n"));
         out
     }
@@ -482,6 +497,9 @@ impl ProjectModel {
     /// Renders the user source.
     pub fn render_main(&self) -> String {
         let mut out = String::new();
+        if self.wide_flag == Some(true) {
+            out.push_str(&format!("#define {WIDE_FLAG} 1\n"));
+        }
         out.push_str(&format!("#include \"{LIB_HEADER}\"\n"));
         out.push_str(&format!("#include \"{SUPPORT_HEADER}\"\n"));
         for f in &self.user_fns {

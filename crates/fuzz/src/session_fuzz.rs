@@ -4,7 +4,9 @@
 //! warm [`Session`] over a generated project, applies a random stream of
 //! syntactically valid edits (new user statements, new library
 //! functions, identical-content touches, driver edits outside the
-//! engine's input set), and after every edit asserts that the warm
+//! engine's input set, and a `#define` added to or removed from the main
+//! source's include block that the library tests with `#ifdef`, which a
+//! parse resuming from a stale preamble would miss), and after every edit asserts that the warm
 //! rerun's artifacts are byte-identical to a cold engine run over the
 //! same file state, and that its verification verdict and before/after
 //! statistics are equal to the cold run's. Any difference means a cache
@@ -23,7 +25,7 @@ use yalla_core::{Engine, Session, SubstitutionResult};
 use yalla_corpus::gen::DetRng;
 use yalla_store::Store;
 
-use crate::grammar::{ProjectModel, UserStmt, DRIVER_SOURCE, LIB_HEADER, MAIN_SOURCE};
+use crate::grammar::{ProjectModel, UserStmt, DRIVER_SOURCE, LIB_HEADER, MAIN_SOURCE, WIDE_FLAG};
 
 /// One warm-vs-cold mismatch.
 #[derive(Debug, Clone)]
@@ -62,6 +64,10 @@ enum EditKind {
     TouchMain,
     TouchDriver,
     TweakDriver,
+    /// Adds or removes the main source's `#define` of the flag the
+    /// library tests with `#ifdef`: an edit inside the include block
+    /// that changes the library's expansion.
+    ToggleDefine,
 }
 
 /// Derives the edit-stream RNG seed from a case seed — a pure
@@ -111,6 +117,7 @@ pub fn run_session_case_with_store(
         None => None,
     };
     let mut model = ProjectModel::generate(seed);
+    model.wide_flag = Some(false);
     let (vfs, options) = model.render();
     let mut session = Session::with_store(options.clone(), vfs, store.clone());
     session.rerun().map_err(|e| format!("cold run: {e}"))?;
@@ -125,12 +132,13 @@ pub fn run_session_case_with_store(
     let mut extra_lib_fns = 0usize;
 
     for step in 1..=edits {
-        let kind = match rng.next(5) {
+        let kind = match rng.next(6) {
             0 => EditKind::AppendUserStmt,
             1 => EditKind::AppendLibFn,
             2 => EditKind::TouchMain,
             3 => EditKind::TouchDriver,
-            _ => EditKind::TweakDriver,
+            4 => EditKind::TweakDriver,
+            _ => EditKind::ToggleDefine,
         };
         let description = apply_edit(&mut session, &mut model, kind, &mut rng, &mut extra_lib_fns)?;
         report.edits += 1;
@@ -259,6 +267,17 @@ fn apply_edit(
                 .apply_edit(DRIVER_SOURCE, same)
                 .map_err(|e| e.to_string())?;
             Ok("touch driver.cpp".to_string())
+        }
+        EditKind::ToggleDefine => {
+            let defined = !model.wide_flag.unwrap_or(false);
+            model.wide_flag = Some(defined);
+            session
+                .apply_edit(MAIN_SOURCE, model.render_main())
+                .map_err(|e| e.to_string())?;
+            Ok(format!(
+                "{} {WIDE_FLAG} in main.cpp",
+                if defined { "define" } else { "undefine" }
+            ))
         }
         EditKind::TweakDriver => {
             let mut text = text_of(session, DRIVER_SOURCE)?;

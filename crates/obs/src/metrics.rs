@@ -13,7 +13,9 @@ use std::sync::{Arc, Mutex};
 
 /// Well-known metric names, so producers and readers agree on spelling.
 pub mod names {
-    /// Files that entered preprocessing.
+    /// Files that entered preprocessing (the `pp.*` counters count the
+    /// work done: a parse that resumes from a preamble counts the main
+    /// file and what entered after the preamble).
     pub const FILES_PREPROCESSED: &str = "pp.files_preprocessed";
     /// Active source lines delivered to the parser.
     pub const LINES_PREPROCESSED: &str = "pp.lines_preprocessed";
@@ -21,8 +23,13 @@ pub mod names {
     pub const INCLUDES_RESOLVED: &str = "pp.includes_resolved";
     /// Macro expansions performed.
     pub const MACRO_EXPANSIONS: &str = "pp.macro_expansions";
-    /// Top-level declarations parsed into ASTs.
+    /// Top-level declarations parsed into ASTs (a parse that resumes
+    /// from a preamble counts only the ones it parsed).
     pub const AST_DECLS: &str = "parse.ast_decls";
+    /// Parses that resumed from a main file's preamble (`yalla_cpp::
+    /// preamble`), lexing, preprocessing and parsing only the text after
+    /// it.
+    pub const PREAMBLE_REUSED: &str = "cpp.preamble_reused";
     /// Symbols entered into symbol tables.
     pub const SYMBOLS_RESOLVED: &str = "analysis.symbols_resolved";
     /// Classes/functions found used in the sources.
@@ -169,6 +176,7 @@ pub mod names {
             INCLUDES_RESOLVED,
             MACRO_EXPANSIONS,
             AST_DECLS,
+            PREAMBLE_REUSED,
             SYMBOLS_RESOLVED,
             USED_SYMBOLS,
             INCOMPLETE_CHECKS,

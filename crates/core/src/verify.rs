@@ -68,7 +68,8 @@ impl VerifyInputs<'_> {
     /// `main_source`, i.e. the original tree with the `rewritten`
     /// `(path, text)` sources and the lightweight header overlaid. It
     /// resumes from the main source's `preamble` while that still fits
-    /// the overlaid tree, and leaves there the preamble it used or built.
+    /// the overlaid tree, leaves there the preamble it used or built and
+    /// returns that preamble beside the TU.
     ///
     /// # Errors
     ///
@@ -78,7 +79,7 @@ impl VerifyInputs<'_> {
         rewritten: impl IntoIterator<Item = (&'s str, &'s str)>,
         main_source: &str,
         preamble: &Mutex<Option<Arc<Preamble>>>,
-    ) -> yalla_cpp::Result<ParsedTu> {
+    ) -> yalla_cpp::Result<(ParsedTu, Option<Arc<Preamble>>)> {
         let mut user_vfs = self.original_vfs.clone();
         for (path, text) in rewritten {
             user_vfs.add_file(path, text);
@@ -88,9 +89,9 @@ impl VerifyInputs<'_> {
         let (tu, used) = Frontend::with_defines(user_vfs, self.defines)
             .parse_resuming(main_source, previous.as_ref())?;
         if used.is_some() {
-            *preamble.lock().expect("preamble lock") = used;
+            preamble.lock().expect("preamble lock").clone_from(&used);
         }
-        Ok(tu)
+        Ok((tu, used))
     }
 
     /// Check 3: parses the wrappers file against the real header. Returns
@@ -141,14 +142,14 @@ impl VerifyInputs<'_> {
     }
 }
 
-/// Checks 1 and 2 over the substituted user TU (`None` when it failed to
-/// parse). `wrappers_parse` is left for check 3 to set.
-pub(crate) fn check_user_tu(tu: Option<&ParsedTu>) -> Verification {
-    let Some(tu) = tu else {
+/// Checks 1 and 2 over the substituted user TU and its symbol table
+/// (`None` when it failed to parse). `wrappers_parse` is left for check 3
+/// to set.
+pub(crate) fn check_user_tu(tu: Option<(&ParsedTu, &SymbolTable)>) -> Verification {
+    let Some((tu, table)) = tu else {
         return Verification::default();
     };
     // Forward-declared-only classes are the incomplete set.
-    let table = SymbolTable::build(&tu.ast);
     let incomplete: HashSet<String> = table
         .iter()
         .filter_map(|s| match &s.kind {
@@ -159,7 +160,7 @@ pub(crate) fn check_user_tu(tu: Option<&ParsedTu>) -> Verification {
     Verification {
         sources_parse: true,
         wrappers_parse: false,
-        violations: check_incomplete_rules(&tu.ast, &incomplete, &table),
+        violations: check_incomplete_rules(&tu.ast, &incomplete, table),
     }
 }
 
@@ -193,7 +194,11 @@ pub fn verify(
         main_source,
         &Mutex::default(),
     );
-    let sources = check_user_tu(user_tu.ok().as_ref());
+    let user_tu = user_tu.ok().map(|(tu, _)| {
+        let table = SymbolTable::build(&tu.ast);
+        (tu, table)
+    });
+    let sources = check_user_tu(user_tu.as_ref().map(|(tu, table)| (tu, table)));
     Verification {
         wrappers_parse: inputs.check_wrappers().is_some(),
         ..sources

@@ -386,6 +386,27 @@ fn new_of_an_incomplete_class_fails_verification_wherever_it_is_written() {
 }
 
 #[test]
+fn a_pointer_initialized_from_a_reference_fails_verification() {
+    // Retyping the by-value local `w` keeps its initializer, and a
+    // reference does not convert to a pointer.
+    let r = run(
+        "namespace L { class W { public: int id(); }; }",
+        "int f(L::W& r) { L::W w = r; return w.id(); }",
+    );
+    assert!(r.plan.pointerized_classes.contains("L::W"));
+    let main = &r.rewritten_sources["main.cpp"];
+    assert!(main.contains("L::W* w = r;"), "{main}");
+    let violations = &r.report.verification.violations;
+    assert!(
+        violations
+            .iter()
+            .any(|v| v.class == "L::W" && v.reason.contains("initialized from an object")),
+        "{violations:?}"
+    );
+    assert!(!r.report.verification.passed());
+}
+
+#[test]
 fn member_calls_on_inferred_receivers_go_through_wrappers() {
     // (source, rewritten call)
     let cases = [

@@ -216,6 +216,10 @@ pub struct CachedParse {
     pub closure_hash: u64,
     /// How the lookup resolved.
     pub lookup: CacheLookup,
+    /// The main file's preamble this parse resumed from or produced
+    /// (shared with the cache entry); the TU's top-level declarations
+    /// start with its [decls](Preamble::decls).
+    pub preamble: Option<Arc<Preamble>>,
 }
 
 #[derive(Debug)]
@@ -528,6 +532,7 @@ impl ParseCache {
             tu: Arc::clone(&entry.tu),
             closure_hash: entry.closure_hash,
             lookup: CacheLookup::Hit,
+            preamble: entry.preamble.clone(),
         };
         versions.insert(0, entry);
         yalla_obs::count(yalla_obs::metrics::names::CACHE_HITS, 1);
@@ -601,7 +606,7 @@ impl ParseCache {
                     deps,
                     closure_hash,
                     tu: Arc::clone(&tu),
-                    preamble,
+                    preamble: preamble.clone(),
                     bytes,
                     stamp,
                 },
@@ -641,6 +646,7 @@ impl ParseCache {
             } else {
                 CacheLookup::Miss
             },
+            preamble,
         })
     }
 

@@ -97,6 +97,12 @@ impl Preamble {
                 .all(|(&id, (path, _))| vfs.lookup(path) == Some(id))
             && depfile_valid(&self.deps, |path| vfs.hash_of(path))
     }
+
+    /// The top-level declarations the block parsed to: the first ones of
+    /// every TU parsed from this preamble.
+    pub fn decls(&self) -> &[Decl] {
+        &self.decls
+    }
 }
 
 #[cfg(test)]

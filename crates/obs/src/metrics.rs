@@ -30,8 +30,13 @@ pub mod names {
     /// preamble`), lexing, preprocessing and parsing only the text after
     /// it.
     pub const PREAMBLE_REUSED: &str = "cpp.preamble_reused";
-    /// Symbols entered into symbol tables.
+    /// Entries inserted into symbol tables: every symbol of a table built
+    /// from scratch; for a table extended from a preamble's, only the
+    /// entries the rest of the TU added or changed.
     pub const SYMBOLS_RESOLVED: &str = "analysis.symbols_resolved";
+    /// Symbol tables extended from a memoized preamble table instead of
+    /// walking the preamble's declarations again.
+    pub const SYMTAB_REUSED: &str = "analysis.symtab_reused";
     /// Classes/functions found used in the sources.
     pub const USED_SYMBOLS: &str = "analysis.used_symbols";
     /// Incomplete-type rule checks executed.
@@ -178,6 +183,7 @@ pub mod names {
             AST_DECLS,
             PREAMBLE_REUSED,
             SYMBOLS_RESOLVED,
+            SYMTAB_REUSED,
             USED_SYMBOLS,
             INCOMPLETE_CHECKS,
             WRAPPERS_GENERATED,

@@ -1,11 +1,12 @@
 //! Semantic analysis for Header Substitution.
 //!
 //! This crate plays the role Clang's semantic layer and AST-matcher library
-//! play in the original YALLA tool: it builds a symbol table over the
-//! parsed translation unit, resolves type aliases, collects which symbols
-//! from a *target header* are actually used by the user's *source files*
-//! (with the usage's "nature" — by value, pointer, reference, template
-//! argument, as §4.1 of the paper describes), and implements the
+//! play in the original YALLA tool: over the parsed translation unit's
+//! symbol table ([`symbols`], which lives in the frontend so that a
+//! preamble can carry its own), it resolves type aliases, collects which
+//! symbols from a *target header* are actually used by the user's *source
+//! files* (with the usage's "nature" — by value, pointer, reference,
+//! template argument, as §4.1 of the paper describes), and implements the
 //! incomplete-type rules that decide when a forward declaration suffices
 //! and when a function/method wrapper is required (§3.2).
 //!
@@ -19,8 +20,9 @@
 pub mod aliases;
 pub mod incomplete;
 pub mod scope;
-pub mod symbols;
 pub mod usage;
+
+pub use yalla_cpp::symbols;
 
 pub use aliases::AliasResolver;
 pub use incomplete::{check_incomplete_rules, wrapper_need, IncompleteViolation, WrapperNeed};

@@ -54,6 +54,7 @@
 //!   format, snapshotted without pausing any worker.
 
 use std::collections::{HashMap, HashSet};
+use std::io::{BufRead, Read};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -131,6 +132,40 @@ pub struct ProjectShard {
     warmup: Mutex<Option<CancelToken>>,
 }
 
+impl ProjectShard {
+    /// The shard of `record`'s project under key `root_hash`: its file
+    /// tree, its file set and a fresh session backed by `store`. `warmup`
+    /// is the token of the shard's background prefetch, if it gets one.
+    fn new(
+        root_hash: u64,
+        record: ProjectRecord,
+        store: Option<Arc<Store>>,
+        warmup: Option<CancelToken>,
+    ) -> Arc<ProjectShard> {
+        let mut vfs = Vfs::new();
+        let mut files = HashSet::new();
+        for (path, text) in record.files {
+            vfs.add_file(&path, text);
+            files.insert(path);
+        }
+        let options = Options {
+            header: record.header,
+            sources: record.sources,
+            ..Options::default()
+        };
+        Arc::new(ProjectShard {
+            name: record.name,
+            root_hash,
+            build_latency: record.build_latency,
+            files,
+            edits: Mutex::default(),
+            published: Mutex::default(),
+            session: Mutex::new(Session::with_store(options, vfs, store)),
+            warmup: Mutex::new(warmup),
+        })
+    }
+}
+
 /// A counting semaphore bounding how many builds run at once. Sized to
 /// the executor's worker count: one worker makes the daemon a strictly
 /// serial build agent, N workers overlap up to N project builds.
@@ -189,6 +224,47 @@ impl Response {
             shutdown: false,
         }
     }
+}
+
+/// The longest request line the daemon reads, newline excluded: far
+/// above the largest corpus project's `open` request (about 3.5 MB), and
+/// a bound on what one client can make a connection handler buffer.
+const MAX_REQUEST_BYTES: usize = 64 << 20;
+
+/// How a call to [`read_request_line`] ended.
+#[derive(Debug, PartialEq, Eq)]
+enum RequestLine {
+    /// The buffer holds one whole line: through its newline, or through
+    /// the end of the stream when the last line has none.
+    Complete,
+    /// The stream ended with nothing buffered.
+    Eof,
+    /// More than the limit arrived without a newline.
+    TooLarge,
+}
+
+/// Reads one request line from `reader` into `line`, after what an
+/// earlier call cut short by an I/O error (a read timeout) left there,
+/// reading at most `limit` bytes before the newline. The caller checks
+/// the bytes for UTF-8 once the line is whole, so a timeout inside a
+/// multi-byte character loses nothing.
+///
+/// # Errors
+///
+/// Propagates the reader's I/O errors; what was read stays in `line`.
+fn read_request_line(
+    reader: &mut impl BufRead,
+    line: &mut Vec<u8>,
+    limit: usize,
+) -> std::io::Result<RequestLine> {
+    let room = (limit + 1).saturating_sub(line.len()) as u64;
+    reader.take(room).read_until(b'\n', line)?;
+    Ok(match line.last() {
+        None => RequestLine::Eof,
+        Some(b'\n') => RequestLine::Complete,
+        _ if line.len() > limit => RequestLine::TooLarge,
+        _ => RequestLine::Complete,
+    })
 }
 
 /// The daemon's shared state: the shard pool and the executor that runs
@@ -312,33 +388,10 @@ impl ServeState {
                 else {
                     continue;
                 };
-                let mut vfs = Vfs::new();
-                let mut files = HashSet::new();
-                for (path, text) in &record.files {
-                    vfs.add_file(path, text.clone());
-                    files.insert(path.clone());
-                }
-                let options = Options {
-                    header: record.header,
-                    sources: record.sources,
-                    ..Options::default()
-                };
                 name_map.insert(record.name.clone(), key);
                 let shard = Arc::clone(shards.entry(key).or_insert_with(|| {
-                    Arc::new(ProjectShard {
-                        name: record.name,
-                        root_hash: key,
-                        build_latency: record.build_latency,
-                        files,
-                        edits: Mutex::new(EditQueue::default()),
-                        published: Mutex::new(Published::default()),
-                        session: Mutex::new(Session::with_store(
-                            options,
-                            vfs,
-                            Some(Arc::clone(store)),
-                        )),
-                        warmup: Mutex::new(Some(CancelToken::new())),
-                    })
+                    let warmup = Some(CancelToken::new());
+                    ProjectShard::new(key, record, Some(Arc::clone(store)), warmup)
                 }));
                 rebuilt.push(shard);
             }
@@ -534,27 +587,17 @@ impl ServeState {
         let created = !shards.contains_key(&root_hash);
         let mut new_shard = None;
         if created {
-            let mut vfs = Vfs::new();
-            let mut file_set = HashSet::new();
-            for (path, text) in files {
-                vfs.add_file(path, text.as_str().unwrap_or_default());
-                file_set.insert(path.clone());
-            }
-            let options = Options {
+            let record = ProjectRecord {
+                name: project.clone(),
                 header,
                 sources,
-                ..Options::default()
-            };
-            let shard = Arc::new(ProjectShard {
-                name: project.clone(),
-                root_hash,
                 build_latency,
-                files: file_set,
-                edits: Mutex::new(EditQueue::default()),
-                published: Mutex::new(Published::default()),
-                session: Mutex::new(Session::with_store(options, vfs, self.store.clone())),
-                warmup: Mutex::new(None),
-            });
+                files: files
+                    .iter()
+                    .map(|(path, text)| (path.clone(), text.as_str().unwrap_or_default().into()))
+                    .collect(),
+            };
+            let shard = ProjectShard::new(root_hash, record, self.store.clone(), None);
             shards.insert(root_hash, Arc::clone(&shard));
             new_shard = Some(shard);
             yalla_obs::gauge(names::SERVE_SHARDS, shards.len() as i64);
@@ -876,7 +919,7 @@ pub use unix_server::{client_request, Server};
 #[cfg(unix)]
 mod unix_server {
     use super::*;
-    use std::io::{BufRead, BufReader, Write};
+    use std::io::{BufReader, Write};
     use std::os::unix::net::{UnixListener, UnixStream};
     use std::path::{Path, PathBuf};
     use std::thread::JoinHandle;
@@ -1016,20 +1059,34 @@ mod unix_server {
             Err(_) => return,
         };
         let mut reader = BufReader::new(stream);
-        let mut line = String::new();
+        let mut line = Vec::new();
+        let mut respond = |response: &Response| {
+            writer
+                .write_all(response.text.as_bytes())
+                .and_then(|()| writer.write_all(b"\n"))
+                .and_then(|()| writer.flush())
+                .is_ok()
+        };
         loop {
-            match reader.read_line(&mut line) {
-                Ok(0) => break, // client hung up
-                Ok(_) => {
-                    let trimmed = line.trim();
-                    if !trimmed.is_empty() {
-                        let response = state.handle_line(trimmed);
-                        if writer
-                            .write_all(response.text.as_bytes())
-                            .and_then(|()| writer.write_all(b"\n"))
-                            .and_then(|()| writer.flush())
-                            .is_err()
-                        {
+            match read_request_line(&mut reader, &mut line, MAX_REQUEST_BYTES) {
+                Ok(RequestLine::Eof) => break, // client hung up
+                Ok(RequestLine::TooLarge) => {
+                    // The rest of the line is never read: answer, then
+                    // close this connection only.
+                    respond(&Response::error(format!(
+                        "request too large: more than {MAX_REQUEST_BYTES} bytes in one line"
+                    )));
+                    break;
+                }
+                Ok(RequestLine::Complete) => {
+                    let response = match std::str::from_utf8(&line).map(str::trim) {
+                        Ok("") => None,
+                        Ok(text) => Some(state.handle_line(text)),
+                        Err(_) => Some(Response::error("request is not UTF-8")),
+                    };
+                    line.clear();
+                    if let Some(response) = response {
+                        if !respond(&response) {
                             break;
                         }
                         if response.shutdown {
@@ -1037,7 +1094,6 @@ mod unix_server {
                             break;
                         }
                     }
-                    line.clear();
                 }
                 Err(e)
                     if e.kind() == std::io::ErrorKind::WouldBlock
@@ -1099,6 +1155,94 @@ mod tests {
 
     fn state() -> ServeState {
         ServeState::new(Executor::new(2))
+    }
+
+    /// Hands out `data` at most `chunk` bytes per read, and fails once
+    /// with a timeout when it reaches `stall_at`.
+    struct Trickle {
+        data: Vec<u8>,
+        at: usize,
+        chunk: usize,
+        stall_at: Option<usize>,
+    }
+
+    impl std::io::Read for Trickle {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            if self.stall_at == Some(self.at) {
+                self.stall_at = None;
+                return Err(std::io::ErrorKind::WouldBlock.into());
+            }
+            let end = self.data.len().min(self.at + self.chunk);
+            let end = self.stall_at.map_or(end, |s| end.min(s.max(self.at)));
+            let n = (end - self.at).min(buf.len());
+            buf[..n].copy_from_slice(&self.data[self.at..self.at + n]);
+            self.at += n;
+            Ok(n)
+        }
+    }
+
+    fn trickle(data: &str, chunk: usize, stall_at: Option<usize>) -> std::io::BufReader<Trickle> {
+        let data = data.as_bytes().to_vec();
+        std::io::BufReader::with_capacity(
+            chunk,
+            Trickle {
+                data,
+                at: 0,
+                chunk,
+                stall_at,
+            },
+        )
+    }
+
+    /// Every line `read_request_line` reads with `limit`, as text.
+    fn lines(reader: &mut impl std::io::BufRead, limit: usize) -> Vec<Result<String, RequestLine>> {
+        let mut out = Vec::new();
+        let mut line = Vec::new();
+        loop {
+            match read_request_line(reader, &mut line, limit) {
+                Ok(RequestLine::Complete) => {
+                    out.push(Ok(String::from_utf8(std::mem::take(&mut line)).unwrap()));
+                }
+                Ok(RequestLine::Eof) => return out,
+                Ok(other) => {
+                    out.push(Err(other));
+                    return out;
+                }
+                Err(e) => assert_eq!(e.kind(), std::io::ErrorKind::WouldBlock),
+            }
+        }
+    }
+
+    #[test]
+    fn request_lines_are_read_up_to_the_limit_across_reads() {
+        for chunk in [1, 2, 64] {
+            assert_eq!(
+                lines(&mut trickle("ab\ncdef\ngh", chunk, None), 4),
+                [Ok("ab\n".into()), Ok("cdef\n".into()), Ok("gh".into())],
+                "chunk {chunk}"
+            );
+            assert_eq!(
+                lines(&mut trickle("ab\ncdefg\nhi\n", chunk, None), 4),
+                [Ok("ab\n".into()), Err(RequestLine::TooLarge)],
+                "chunk {chunk}"
+            );
+            assert_eq!(
+                lines(&mut trickle("abcdefgh", chunk, None), 4),
+                [Err(RequestLine::TooLarge)],
+                "chunk {chunk}"
+            );
+        }
+        assert!(lines(&mut trickle("", 4, None), 4).is_empty());
+    }
+
+    #[test]
+    fn a_timeout_inside_a_character_keeps_the_partial_line() {
+        // The stall falls between the two bytes of `é`.
+        let mut reader = trickle("{\"a\": \"é\"}\nx\n", 64, Some(8));
+        assert_eq!(
+            lines(&mut reader, 64),
+            [Ok("{\"a\": \"é\"}\n".into()), Ok("x\n".into())]
+        );
     }
 
     #[test]

@@ -25,12 +25,12 @@
 //! | parse   | `(main path, defines)` validated against the include closure's content hashes ([`yalla_cpp::cache::ParseCache`]); a miss resumes from a version's main-file preamble whose bytes, defines and entered files still match ([`yalla_cpp::preamble`]) |
 //! | └ usage[k] | root `k`'s closure hash + header + sources (secondary roots only) |
 //! | analyze | closure hash + header + sources + `extra_symbols`          |
-//! | └ symbol table | per TU root: the table of its preamble's declarations, keyed by the preamble's identity and extended with the rest of the TU ([`SymbolTable::extend`]) |
+//! | └ symbol table | per TU root: the table of its preamble's declarations, built once and owned by the preamble ([`yalla_cpp::Preamble::table`]), extended with the rest of the TU ([`SymbolTable::extend`]) |
 //! | plan    | usage fingerprint ([`crate::fingerprint`]) + pre-declare diagnostics |
 //! | emit    | plan key                                                   |
 //! | rewrite | per source: file hash + reachable source hashes + plan key |
 //! | verify  | closure hash + emitted artifacts + rewritten source hashes |
-//! | └ user TU parse | resumes from the substituted main source's preamble under the parse rule, over the overlaid tree |
+//! | └ user TU parse | the parse rule over the overlaid tree, in the session's second [`ParseCache`] (no store) |
 //! | └ wrappers check | wrappers path + defines, validated against the wrappers TU's include closure (the parse-stage depfile rule) |
 //!
 //! A verify miss parses the substituted TU once, for the sources check,
@@ -74,15 +74,20 @@
 //! function entry holds an `Arc` into the memoized AST, and used
 //! functions and enums in the usage report hold the same `Arc`s. A TU
 //! parsed from a preamble does not walk the preamble's declarations
-//! again either: each TU root keeps a memo of the tables of its
-//! preambles' declarations, and the analyze node and each usage node
-//! extend the memoized table with the rest of the TU (verify's
-//! incomplete-type check does the same with its own memo), counting
-//! `analysis.symtab_reused`. A main-source edit therefore inserts only
-//! the body's symbols, and swapping an old artifact out of its slot
-//! frees only its overlay. The warm pre-pass drops the tables whose
-//! preamble the parse cache has freed, so the memo frees a table only
-//! there, while no stage runs.
+//! again either: a preamble owns the table of its declarations, built
+//! once ([`yalla_cpp::Preamble::table`]), and the analyze node, each
+//! usage node and verify's incomplete-type check extend it with the rest
+//! of the TU ([`CachedParse::table`]), counting `analysis.symtab_reused`.
+//! A main-source edit therefore inserts only the body's symbols, and
+//! swapping an old artifact out of its slot frees only its overlay. A
+//! table dies with its preamble (or with the last extended table still
+//! holding it as a base), and the parse cache frees preambles in the
+//! warm pre-pass ([`ParseCache::make_room`]), while no stage runs.
+//!
+//! Verify's parse of the substituted TU goes through a second
+//! [`ParseCache`], with no store: it has the parse stage's depfile rule,
+//! version history and budget, so it resumes from the substituted main
+//! source's preamble after a body edit and hits after a revert.
 //!
 //! Artifacts are byte-identical at every worker count: stage closures
 //! are pure functions of their memoized inputs, per-source rewrites are
@@ -92,7 +97,7 @@
 
 use std::collections::{BTreeMap, HashSet};
 use std::fmt;
-use std::sync::{Arc, Mutex, OnceLock, Weak};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
 
 use yalla_analysis::symbols::SymbolTable;
@@ -100,7 +105,6 @@ use yalla_analysis::usage::UsageReport;
 use yalla_cpp::cache::{CachedParse, ParseCache};
 use yalla_cpp::hash::{self, Fnv64};
 use yalla_cpp::loc::FileId;
-use yalla_cpp::preamble::Preamble;
 use yalla_cpp::vfs::Vfs;
 use yalla_cpp::ParsedTu;
 use yalla_exec::{CancelToken, Dag, Executor, NodeId, Priority};
@@ -365,73 +369,13 @@ fn fold(mut result: SubstitutionResult, records: &[StageOutcome]) -> SessionRun 
     }
 }
 
-/// Symbol tables of preambles' declarations, each built once and shared
-/// as the base of every table of a TU that resumed from or produced that
-/// preamble ([`SymbolTable::extend`]). Entries are keyed by the
-/// preamble's `Weak`: the memo does not keep a preamble alive, and a dead
-/// key cannot alias a live preamble (its allocation outlives the `Weak`).
-/// Entries are added while a stage runs and dropped only by the warm
-/// pre-pass, once their preamble is gone ([`PrefixTables::prune`]), as
-/// [`ParseCache::make_room`] evicts ASTs while no stage runs.
-#[derive(Debug, Default)]
-struct PrefixTables(Mutex<Vec<(Weak<Preamble>, Arc<SymbolTable>)>>);
-
-impl PrefixTables {
-    /// The symbol table of `tu`, whose top-level declarations start with
-    /// `preamble`'s when it has one: the preamble's memoized table (built
-    /// now on a miss) extended with the rest of them.
-    fn table(&self, tu: &ParsedTu, preamble: Option<&Arc<Preamble>>) -> SymbolTable {
-        let Some(preamble) = preamble else {
-            return SymbolTable::build(&tu.ast);
-        };
-        let find = |memo: &[(Weak<Preamble>, Arc<SymbolTable>)]| {
-            memo.iter()
-                .find(|(p, _)| p.as_ptr() == Arc::as_ptr(preamble))
-                .map(|(_, table)| Arc::clone(table))
-        };
-        let memoized = find(&self.0.lock().expect("prefix tables lock"));
-        let prefix = match memoized {
-            Some(table) => {
-                yalla_obs::count(yalla_obs::metrics::names::SYMTAB_REUSED, 1);
-                table
-            }
-            None => {
-                let table = Arc::new(SymbolTable::from_decls(preamble.decls()));
-                let mut memo = self.0.lock().expect("prefix tables lock");
-                if find(&memo).is_none() {
-                    memo.push((Arc::downgrade(preamble), Arc::clone(&table)));
-                }
-                table
-            }
-        };
-        SymbolTable::extend(&prefix, &tu.ast.decls[preamble.decls().len()..])
-    }
-
-    /// Drops the tables whose preamble is gone. The pre-pass calls it
-    /// after the parse cache has evicted what it will, while no stage
-    /// runs.
-    fn prune(&self) {
-        let dead: Vec<_> = {
-            let mut memo = self.0.lock().expect("prefix tables lock");
-            let (live, dead) = std::mem::take(&mut *memo)
-                .into_iter()
-                .partition(|(p, _)| p.strong_count() > 0);
-            *memo = live;
-            dead
-        };
-        drop(dead);
-    }
-}
-
 /// The session's memos: the parse cache, one slot per stage (one per
-/// secondary TU root for usage, one per source for rewrite, by position),
-/// the preamble symbol tables (one memo per TU root, one for verify's
-/// parse), the wrappers-check memo and the preamble of verify's parse.
+/// secondary TU root for usage, one per source for rewrite, by
+/// position), the parse cache of verify's substituted TU and the
+/// wrappers-check memo.
 #[derive(Debug, Default)]
 struct Slots {
     parse: ParseCache,
-    /// One per TU root, by position: the symbol tables of its preambles.
-    symtabs: Vec<PrefixTables>,
     /// One per secondary TU root (root `k` at `k - 1`): that root's usage
     /// report alone, never its symbol table.
     usages: Vec<SharedSlot<UsageReport>>,
@@ -440,11 +384,9 @@ struct Slots {
     emit: SharedSlot<EmitArtifact>,
     rewrites: Vec<SharedSlot<String>>,
     verify: SharedSlot<VerifyArtifact>,
+    /// Verify's parses of the substituted TU, over the overlaid tree.
+    user_parse: ParseCache,
     wrappers: Mutex<Option<WrappersMemo>>,
-    /// The substituted main source's preamble, for verify's parse.
-    user_preamble: Mutex<Option<Arc<Preamble>>>,
-    /// The symbol tables of verify's preambles.
-    user_symtabs: PrefixTables,
 }
 
 /// One rerun: its inputs, the session's memos, the cells carrying each
@@ -491,13 +433,6 @@ impl Run {
             verify: OnceLock::new(),
             log: Mutex::default(),
         }
-    }
-
-    /// Root `k`'s symbol table, extended from its preamble's memoized
-    /// table when its parse has a preamble.
-    fn root_table(&self, k: usize) -> SymbolTable {
-        let parsed = done(&self.parses[k]);
-        self.slots.symtabs[k].table(&parsed.tu, parsed.preamble.as_ref())
     }
 
     /// The TU source `i`'s rewrite reads from: its own root's when the
@@ -799,11 +734,6 @@ impl Session {
     pub fn with_store(options: Options, vfs: Vfs, store: Option<Arc<Store>>) -> Self {
         let slots = Slots {
             parse: ParseCache::with_store(store.clone()),
-            symtabs: options
-                .parse_roots()
-                .iter()
-                .map(|_| PrefixTables::default())
-                .collect(),
             usages: options
                 .parse_roots()
                 .iter()
@@ -970,11 +900,6 @@ impl Session {
                     Ok((parsed.lookup, Arc::new(parsed)))
                 },
             ));
-        }
-        // The parse cache has evicted what it will: the preamble tables
-        // that died with it are freed here, before any stage runs.
-        for memo in run.slots.symtabs.iter().chain([&run.slots.user_symtabs]) {
-            memo.prune();
         }
         // One usage node per secondary root, each after its own parse
         // only: a one-TU edit re-collects one TU's usage, and a cold run
@@ -1148,7 +1073,7 @@ fn stage_usage(run: &Run, k: usize) -> UsageReport {
         return UsageReport::default();
     };
     let targets = crate::engine::reachable_from(header, &tu.stats.include_edges);
-    let table = run.root_table(k);
+    let table = done(&run.parses[k]).table();
     UsageReport::collect(&tu.ast, &table, &targets, &source_files(run))
 }
 
@@ -1175,7 +1100,7 @@ fn stage_analyze(run: &Run) -> Result<AnalysisArtifact, YallaError> {
     let target_files = crate::engine::reachable_from(header_file, &parsed.stats.include_edges);
     let source_files = source_files(run);
 
-    let table = run.root_table(0);
+    let table = done(&run.parses[0]).table();
     let mut usage = UsageReport::collect(&parsed.ast, &table, &target_files, &source_files);
     for cell in &run.usages {
         usage.merge_from(UsageReport::clone(done(cell)));
@@ -1289,22 +1214,22 @@ fn stage_verify(run: &Run) -> VerifyArtifact {
         wrappers: &emit_art.wrappers,
         defines: &opts.defines,
     };
-    // The user TU is dropped before the wrappers check parses the
-    // expensive header.
+    // The overlaid tree and this run's hold on the user TU are dropped
+    // before the wrappers check parses the expensive header.
     let (sources, after) = {
-        let rewritten = run.rewritten().expect("rewrites completed");
-        let user_tu = inputs
-            .parse_user_tu(rewritten, &opts.sources[0], &run.slots.user_preamble)
+        let user_vfs = inputs.user_vfs(run.rewritten().expect("rewrites completed"));
+        let user_tu = run
+            .slots
+            .user_parse
+            .parse(&user_vfs, &opts.defines, &opts.sources[0])
             .ok();
-        let after = user_tu.as_ref().map(|(tu, _)| TuStats {
-            loc: tu.stats.lines_compiled,
-            headers: tu.stats.header_count(),
+        let after = user_tu.as_ref().map(|parsed| TuStats {
+            loc: parsed.tu.stats.lines_compiled,
+            headers: parsed.tu.stats.header_count(),
         });
-        let sources = opts.verify.then(|| {
-            let checked = user_tu
-                .as_ref()
-                .map(|(tu, preamble)| (tu, run.slots.user_symtabs.table(tu, preamble.as_ref())));
-            check_user_tu(checked.as_ref().map(|(tu, table)| (*tu, table)))
+        let sources = opts.verify.then(|| match &user_tu {
+            Some(parsed) => check_user_tu(&parsed.tu, &parsed.table()),
+            None => Verification::default(),
         });
         (sources, after)
     };

@@ -12,25 +12,24 @@
 //! 3. parses the generated wrappers file against the *original* expensive
 //!    header (the wrapper compile of Figure 6 step ③).
 //!
-//! Checks 1 and 2 share one parse (`VerifyInputs::parse_user_tu`), which
-//! also yields the after-substitution statistics; a session keeps the
-//! substituted main source's preamble ([`yalla_cpp::preamble`]), so that
-//! parse re-processes only the main file's body while the lightweight
-//! header and the other included files are unchanged. Check 3
+//! Checks 1 and 2 share one parse of the substituted tree
+//! (`VerifyInputs::user_vfs`), which also yields the after-substitution
+//! statistics; a session runs it through a
+//! [`yalla_cpp::cache::ParseCache`] of its own, so it re-processes only
+//! the main file's body while the lightweight header and the other
+//! included files are unchanged, and not at all after a revert. Check 3
 //! (`VerifyInputs::check_wrappers`) preprocesses the whole expensive
 //! header; a passing check leaves a `WrappersMemo` (the wrappers TU's
 //! depfile), and a later check whose inputs still match it
 //! (`VerifyInputs::reuses`) has the same verdict without a parse.
 
 use std::collections::{BTreeMap, HashSet};
-use std::sync::{Arc, Mutex};
 
 use yalla_analysis::incomplete::check_incomplete_rules;
 use yalla_analysis::symbols::{SymbolKind, SymbolTable};
 use yalla_cpp::cache::{depfile, depfile_valid};
 use yalla_cpp::frontend::{Frontend, ParsedTu};
 use yalla_cpp::hash;
-use yalla_cpp::preamble::Preamble;
 use yalla_cpp::vfs::{self, Vfs};
 
 use crate::report::Verification;
@@ -64,34 +63,19 @@ pub(crate) struct WrappersMemo {
 }
 
 impl VerifyInputs<'_> {
-    /// The parse behind checks 1 and 2: the substituted user TU rooted at
-    /// `main_source`, i.e. the original tree with the `rewritten`
-    /// `(path, text)` sources and the lightweight header overlaid. It
-    /// resumes from the main source's `preamble` while that still fits
-    /// the overlaid tree, leaves there the preamble it used or built and
-    /// returns that preamble beside the TU.
-    ///
-    /// # Errors
-    ///
-    /// Propagates preprocessing and parsing failures (check 1 failing).
-    pub(crate) fn parse_user_tu<'s>(
+    /// The tree behind checks 1 and 2: the original tree with the
+    /// `rewritten` `(path, text)` sources and the lightweight header
+    /// overlaid. The substituted user TU is its main source's parse.
+    pub(crate) fn user_vfs<'s>(
         &self,
         rewritten: impl IntoIterator<Item = (&'s str, &'s str)>,
-        main_source: &str,
-        preamble: &Mutex<Option<Arc<Preamble>>>,
-    ) -> yalla_cpp::Result<(ParsedTu, Option<Arc<Preamble>>)> {
+    ) -> Vfs {
         let mut user_vfs = self.original_vfs.clone();
         for (path, text) in rewritten {
             user_vfs.add_file(path, text);
         }
         user_vfs.add_file(self.lightweight_name, self.lightweight);
-        let previous = preamble.lock().expect("preamble lock").clone();
-        let (tu, used) = Frontend::with_defines(user_vfs, self.defines)
-            .parse_resuming(main_source, previous.as_ref())?;
-        if used.is_some() {
-            preamble.lock().expect("preamble lock").clone_from(&used);
-        }
-        Ok((tu, used))
+        user_vfs
     }
 
     /// Check 3: parses the wrappers file against the real header. Returns
@@ -142,13 +126,9 @@ impl VerifyInputs<'_> {
     }
 }
 
-/// Checks 1 and 2 over the substituted user TU and its symbol table
-/// (`None` when it failed to parse). `wrappers_parse` is left for check 3
-/// to set.
-pub(crate) fn check_user_tu(tu: Option<(&ParsedTu, &SymbolTable)>) -> Verification {
-    let Some((tu, table)) = tu else {
-        return Verification::default();
-    };
+/// Checks 1 and 2 over the substituted user TU, which parsed, and its
+/// symbol table. `wrappers_parse` is left for check 3 to set.
+pub(crate) fn check_user_tu(tu: &ParsedTu, table: &SymbolTable) -> Verification {
     // Forward-declared-only classes are the incomplete set.
     let incomplete: HashSet<String> = table
         .iter()
@@ -187,18 +167,15 @@ pub fn verify(
         wrappers,
         defines: &[],
     };
-    let user_tu = inputs.parse_user_tu(
+    let user_vfs = inputs.user_vfs(
         rewritten
             .iter()
             .map(|(path, text)| (path.as_str(), text.as_str())),
-        main_source,
-        &Mutex::default(),
     );
-    let user_tu = user_tu.ok().map(|(tu, _)| {
-        let table = SymbolTable::build(&tu.ast);
-        (tu, table)
-    });
-    let sources = check_user_tu(user_tu.as_ref().map(|(tu, table)| (tu, table)));
+    let sources = match Frontend::new(user_vfs).parse_translation_unit(main_source) {
+        Ok(tu) => check_user_tu(&tu, &SymbolTable::build(&tu.ast)),
+        Err(_) => Verification::default(),
+    };
     Verification {
         wrappers_parse: inputs.check_wrappers().is_some(),
         ..sources

@@ -14,9 +14,9 @@
 //!   no parsing;
 //! * **preamble**: each entry also keeps its main file's
 //!   [`crate::preamble::Preamble`] (shared by the versions that resumed
-//!   from it), and a miss resumes from a version's preamble that still
-//!   fits, so an edit to the main file's body re-processes that body
-//!   alone.
+//!   from it, and carrying the symbol table of its declarations), and a
+//!   miss resumes from a version's preamble that still fits, so an edit
+//!   to the main file's body re-processes that body alone.
 //!
 //! Every entry also carries a `closure_hash` content-addressing the whole
 //! input set (main path + defines + every dependency's hash). Downstream
@@ -40,10 +40,11 @@ use yalla_store::module::{ModuleBuilder, ModuleReader, PartitionBuilder};
 use yalla_store::{Store, NS_PARSE};
 
 use crate::error::Result;
-use crate::frontend::{Frontend, ParsedTu};
+use crate::frontend::{parse_resuming, ParsedTu};
 use crate::hash::{self, Fnv64};
 use crate::loc::FileId;
 use crate::preamble::Preamble;
+use crate::symbols::SymbolTable;
 use crate::vfs::Vfs;
 
 /// Sentinel for "no explicit budget set — consult `YALLA_MEM_BUDGET`".
@@ -222,6 +223,18 @@ pub struct CachedParse {
     pub preamble: Option<Arc<Preamble>>,
 }
 
+impl CachedParse {
+    /// The TU's symbol table: its preamble's table ([`Preamble::table`],
+    /// built once per preamble) extended with the rest of its
+    /// declarations, or a whole build when it has no preamble.
+    pub fn table(&self) -> SymbolTable {
+        match &self.preamble {
+            Some(p) => SymbolTable::extend(&p.table(), &self.tu.ast.decls[p.decls().len()..]),
+            None => SymbolTable::build(&self.tu.ast),
+        }
+    }
+}
+
 #[derive(Debug)]
 struct Entry {
     /// `(path, content hash)` of every file that entered the parse, main
@@ -230,9 +243,10 @@ struct Entry {
     closure_hash: u64,
     tu: Arc<ParsedTu>,
     /// The main file's preamble, shared by the versions that resumed
-    /// from it. It is freed with the last of them, so that, like an
-    /// evicted AST, it is freed by `make_room` before a parallel reparse
-    /// and not by a parse while other workers parse.
+    /// from it. It is freed, with its symbol table, with the last of
+    /// them, so that, like an evicted AST, it is freed by `make_room`
+    /// before a parallel reparse and not by a parse while other workers
+    /// parse.
     preamble: Option<Arc<Preamble>>,
     /// Deterministic estimate of this entry's in-memory footprint
     /// (see [`ParseCache::approx_entry_bytes`]).
@@ -574,9 +588,8 @@ impl ParseCache {
             yalla_obs::count(yalla_obs::metrics::names::CACHE_INVALIDATIONS, 1);
         }
 
-        let fe = Frontend::with_defines(vfs.clone(), defines);
         let fits = preambles.iter().find(|p| p.fits(vfs, defines, path));
-        let (tu, preamble) = fe.parse_resuming(path, fits)?;
+        let (tu, preamble) = parse_resuming(vfs, defines, path, fits)?;
         let tu = Arc::new(tu);
 
         let deps = depfile(vfs, &tu);

@@ -80,13 +80,8 @@ impl Frontend {
     }
 
     /// Preprocesses and parses `main_path`, resuming from `preamble` when
-    /// it [fits](Preamble::fits) the current files and defines. A
-    /// resumed parse lexes, preprocesses and parses only the
-    /// main file's text after the preamble and counts
-    /// `cpp.preamble_reused`; otherwise the whole TU is parsed and its
-    /// preamble captured on the way. Either way the result equals a parse
-    /// from scratch, and the preamble used or built (`None` when the main
-    /// file's leading block cannot end one) is returned beside it.
+    /// it fits: [`parse_resuming`] over this frontend's files and
+    /// defines.
     ///
     /// # Errors
     ///
@@ -96,51 +91,67 @@ impl Frontend {
         main_path: &str,
         preamble: Option<&Arc<Preamble>>,
     ) -> Result<(ParsedTu, Option<Arc<Preamble>>)> {
-        let reuse = preamble.filter(|p| p.fits(&self.vfs, &self.defines, main_path));
-        let (out, snapshot) = {
-            let _span = yalla_obs::span("frontend", "preprocess");
-            let mut pp = Preprocessor::new(&self.vfs);
-            for (k, v) in &self.defines {
-                pp.define(k, v);
-            }
-            pp.run_main(main_path, reuse.map(|p| &p.pp))?
-        };
-        let _span = yalla_obs::span("frontend", "parse");
-        let (ast, preamble) = match reuse {
-            Some(pre) => {
-                let rest = Parser::resume(out.tokens, pre.checkpoint).parse_translation_unit()?;
-                yalla_obs::count(names::AST_DECLS, rest.decls.len() as i64);
-                yalla_obs::count(names::PREAMBLE_REUSED, 1);
-                let mut decls = Vec::with_capacity(pre.decls.len() + rest.decls.len());
-                decls.extend(pre.decls.iter().cloned());
-                decls.extend(rest.decls);
-                (TranslationUnit { decls }, Some(Arc::clone(pre)))
-            }
-            None => {
-                let at = snapshot.as_ref().map_or(usize::MAX, |s| s.tokens);
-                let (ast, checkpoint) = Parser::new(out.tokens).parse_through(at)?;
-                yalla_obs::count(names::AST_DECLS, ast.decls.len() as i64);
-                let preamble = snapshot.zip(checkpoint).map(|(pp, checkpoint)| {
-                    let decls = ast.decls[..checkpoint.decls].to_vec();
-                    Arc::new(Preamble::new(
-                        &self.vfs,
-                        &self.defines,
-                        pp,
-                        decls,
-                        checkpoint,
-                    ))
-                });
-                (ast, preamble)
-            }
-        };
-        Ok((
-            ParsedTu {
-                ast,
-                stats: out.stats,
-            },
-            preamble,
-        ))
+        parse_resuming(&self.vfs, &self.defines, main_path, preamble)
     }
+}
+
+/// Preprocesses and parses `main_path` over `vfs` with `defines`
+/// predefined, resuming from `preamble` when it [fits](Preamble::fits)
+/// the current files and defines. A resumed parse lexes, preprocesses
+/// and parses only the main file's text after the preamble and counts
+/// `cpp.preamble_reused`; otherwise the whole TU is parsed and its
+/// preamble captured on the way. Either way the result equals a parse
+/// from scratch, and the preamble used or built (`None` when the main
+/// file's leading block cannot end one) is returned beside it. The file
+/// tree is borrowed, never copied.
+///
+/// # Errors
+///
+/// Propagates preprocessing and parsing failures.
+pub fn parse_resuming(
+    vfs: &Vfs,
+    defines: &[(String, String)],
+    main_path: &str,
+    preamble: Option<&Arc<Preamble>>,
+) -> Result<(ParsedTu, Option<Arc<Preamble>>)> {
+    let reuse = preamble.filter(|p| p.fits(vfs, defines, main_path));
+    let (out, snapshot) = {
+        let _span = yalla_obs::span("frontend", "preprocess");
+        let mut pp = Preprocessor::new(vfs);
+        for (k, v) in defines {
+            pp.define(k, v);
+        }
+        pp.run_main(main_path, reuse.map(|p| &p.pp))?
+    };
+    let _span = yalla_obs::span("frontend", "parse");
+    let (ast, preamble) = match reuse {
+        Some(pre) => {
+            let rest = Parser::resume(out.tokens, pre.checkpoint).parse_translation_unit()?;
+            yalla_obs::count(names::AST_DECLS, rest.decls.len() as i64);
+            yalla_obs::count(names::PREAMBLE_REUSED, 1);
+            let mut decls = Vec::with_capacity(pre.decls.len() + rest.decls.len());
+            decls.extend(pre.decls.iter().cloned());
+            decls.extend(rest.decls);
+            (TranslationUnit { decls }, Some(Arc::clone(pre)))
+        }
+        None => {
+            let at = snapshot.as_ref().map_or(usize::MAX, |s| s.tokens);
+            let (ast, checkpoint) = Parser::new(out.tokens).parse_through(at)?;
+            yalla_obs::count(names::AST_DECLS, ast.decls.len() as i64);
+            let preamble = snapshot.zip(checkpoint).map(|(pp, checkpoint)| {
+                let decls = ast.decls[..checkpoint.decls].to_vec();
+                Arc::new(Preamble::new(vfs, defines, pp, decls, checkpoint))
+            });
+            (ast, preamble)
+        }
+    };
+    Ok((
+        ParsedTu {
+            ast,
+            stats: out.stats,
+        },
+        preamble,
+    ))
 }
 
 #[cfg(test)]

@@ -19,7 +19,8 @@
 //!   expression grammar,
 //! * a preamble ([`preamble`]): the frontend's state after a main file's
 //!   `#include` block, so a re-parse after an edit below the block
-//!   processes only the rest of the file,
+//!   processes only the rest of the file, with the symbol table
+//!   ([`symbols`]) of the block's declarations built once,
 //! * a pretty printer ([`pretty`]) used when emitting generated headers.
 //!
 //! # Example
@@ -52,6 +53,7 @@ pub mod parse;
 pub mod pp;
 pub mod preamble;
 pub mod pretty;
+pub mod symbols;
 pub mod vfs;
 
 pub use cache::{CacheLookup, ParseCache};

@@ -12,7 +12,11 @@
 //!   counted lines;
 //! * the top-level declarations the block's tokens parse to, and the
 //!   parser's lambda counter after them (the parser keeps no other state
-//!   from one top-level declaration to the next).
+//!   from one top-level declaration to the next);
+//! * the symbol table of those declarations, built on first use and
+//!   shared as the base of every TU table extended from it
+//!   ([`Preamble::table`]), and freed with the preamble unless such a
+//!   table still holds it.
 //!
 //! **Where it ends.** The first scan of the main file stops before its
 //! first active token outside a directive. The preamble's bytes run from
@@ -33,11 +37,14 @@
 //! result equals a parse from scratch: the same AST, the same
 //! [`crate::pp::PpStats`], the same error.
 
+use std::sync::{Arc, OnceLock};
+
 use crate::ast::Decl;
 use crate::cache::{depfile_of, depfile_valid};
 use crate::loc::FileId;
 use crate::parse::Checkpoint;
 use crate::pp::PpSnapshot;
+use crate::symbols::SymbolTable;
 use crate::vfs::Vfs;
 
 /// A snapshot of the frontend at the end of a main file's leading
@@ -61,6 +68,8 @@ pub struct Preamble {
     pub(crate) decls: Vec<Decl>,
     /// The parser's state after them.
     pub(crate) checkpoint: Checkpoint,
+    /// The symbol table of `decls`, built on first use.
+    table: OnceLock<Arc<SymbolTable>>,
 }
 
 impl Preamble {
@@ -80,6 +89,7 @@ impl Preamble {
             pp,
             decls,
             checkpoint,
+            table: OnceLock::new(),
         }
     }
 
@@ -102,6 +112,22 @@ impl Preamble {
     /// every TU parsed from this preamble.
     pub fn decls(&self) -> &[Decl] {
         &self.decls
+    }
+
+    /// The symbol table of [`Preamble::decls`], built by the first
+    /// caller and shared with every later one, which counts
+    /// `analysis.symtab_reused`. Extend it with the rest of a TU's
+    /// declarations ([`SymbolTable::extend`]) for that TU's table.
+    pub fn table(&self) -> Arc<SymbolTable> {
+        let mut built = false;
+        let table = self.table.get_or_init(|| {
+            built = true;
+            Arc::new(SymbolTable::from_decls(&self.decls))
+        });
+        if !built {
+            yalla_obs::count(yalla_obs::metrics::names::SYMTAB_REUSED, 1);
+        }
+        Arc::clone(table)
     }
 }
 

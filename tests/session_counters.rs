@@ -77,6 +77,34 @@ fn noop_rerun_is_fully_cached_with_zero_reparses() {
     assert_eq!(cold.result.rewritten_sources, warm.result.rewritten_sources);
 }
 
+#[test]
+fn a_reverted_edit_rehits_verifys_substituted_tu_parse() {
+    let _guard = COUNTER_LOCK.lock().unwrap();
+
+    // No store: a disk bundle must not answer the revert.
+    let mut session = Session::with_store(kokkos_options(), kokkos_vfs(), None);
+    session.rerun().unwrap();
+    let kernel = session.vfs().lookup("kernel.cpp").expect("fixture file");
+    let original = session.vfs().text(kernel).to_string();
+    append(&mut session, "kernel.cpp", "int yalla_probe = 1;");
+    assert!(!session.rerun().unwrap().outcome(Stage::Verify).is_hit());
+    session.apply_edit("kernel.cpp", original).unwrap();
+
+    let lines_before = counter(names::LINES_PREPROCESSED);
+    let revert = session.rerun().unwrap();
+    assert_eq!(revert.outcome(Stage::Parse), CacheLookup::Hit);
+    // The rewritten source moved back, so verify runs again; the wrappers
+    // check is reused and the substituted TU is the version cached
+    // before the edit, so nothing is preprocessed.
+    assert!(!revert.outcome(Stage::Verify).is_hit());
+    assert!(revert.result.report.verification.passed());
+    assert_eq!(
+        counter(names::LINES_PREPROCESSED),
+        lines_before,
+        "a revert must re-hit verify's parse of the substituted TU"
+    );
+}
+
 /// The Kokkos fixture with a user header (`util.hpp`) that the main TU
 /// includes but the wrappers TU never sees.
 fn memo_fixture() -> Session {

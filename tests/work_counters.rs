@@ -4,9 +4,10 @@
 //! so it cannot catch a change that doubles the work an edit does. These
 //! counters can: each step of a fixed edit script records how many lines
 //! the preprocessor delivered, how many top-level declarations the parser
-//! built, how many parses resumed from a preamble, how many symbol-table
-//! entries analysis and verification inserted and how many TUs the
-//! session re-parsed, and the whole table is compared exactly with
+//! built, how many parses reused an include fragment, how many include
+//! fragments were built and reused, how many symbol-table entries
+//! analysis and verification inserted and how many TUs the session
+//! re-parsed, and the whole table is compared exactly with
 //! `tests/goldens/work_counters.txt`.
 //!
 //! The scripts replay, on the four editbench corpus subjects and the
@@ -41,10 +42,12 @@ use yalla::Session;
 static COUNTER_LOCK: Mutex<()> = Mutex::new(());
 
 /// The recorded counters, in column order.
-const COUNTERS: [(&str, &str); 5] = [
+const COUNTERS: [(&str, &str); 7] = [
     ("pp_lines", names::LINES_PREPROCESSED),
     ("ast_decls", names::AST_DECLS),
     ("preamble_reused", names::PREAMBLE_REUSED),
+    ("fragments_built", names::FRAGMENTS_BUILT),
+    ("fragments_reused", names::FRAGMENTS_REUSED),
     ("symbols_resolved", names::SYMBOLS_RESOLVED),
     ("tus_reparsed", names::SESSION_TUS_REPARSED),
 ];

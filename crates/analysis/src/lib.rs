@@ -2,8 +2,8 @@
 //!
 //! This crate plays the role Clang's semantic layer and AST-matcher library
 //! play in the original YALLA tool: over the parsed translation unit's
-//! symbol table ([`symbols`], which lives in the frontend so that a
-//! preamble can carry its own), it resolves type aliases, collects which
+//! symbol table ([`symbols`], which lives in the frontend so that an
+//! include fragment can carry its own), it resolves type aliases, collects which
 //! symbols from a *target header* are actually used by the user's *source
 //! files* (with the usage's "nature" — by value, pointer, reference,
 //! template argument, as §4.1 of the paper describes), and implements the

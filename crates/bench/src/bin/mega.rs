@@ -13,10 +13,13 @@
 //! Each worker count also times two warm edits on its session: a
 //! literal edit local to one secondary TU (`edit-tu-w{w}`) and an edit
 //! of a shared `mg_*` header every TU includes (`edit-shared-w{w}`),
-//! each recording wall, parse and analyze time and the TUs reparsed. A
-//! TU-local edit must reparse exactly one TU and record at most two
-//! analyze misses (that TU's usage plus the merge), or the bench fails:
-//! this is the edit-proportional contract, gated in CI by `--smoke`.
+//! each recording wall, parse and analyze time, the TUs reparsed and the
+//! include fragments reused. A TU-local edit must reparse exactly one TU
+//! and record at most two analyze misses (that TU's usage plus the
+//! merge), and a shared-header edit must reuse at least one include
+//! fragment (every TU's private chain, and the facade's rebuild in all
+//! but the first TU), or the bench fails: this is the edit-proportional
+//! contract, gated in CI by `--smoke`.
 //!
 //! Parse *scaling* is reported two ways: the measured cold wall ratio,
 //! and a work/critical-path model `total_parse / max(longest_parse,
@@ -215,6 +218,7 @@ fn run_preset(
         for (config, path, text) in warm_edits(&project, cfg.depth) {
             session.apply_edit(&path, text).expect("generated file");
             let misses_before = counter(&names::stage_cache("analyze", "misses"));
+            let reused_before = counter(names::FRAGMENTS_REUSED);
             let edit = match timed(&mut session, &exec) {
                 Ok(t) => t,
                 Err(e) => {
@@ -224,6 +228,7 @@ fn run_preset(
                 }
             };
             let misses = counter(&names::stage_cache("analyze", "misses")) - misses_before;
+            let reused = counter(names::FRAGMENTS_REUSED) - reused_before;
             let (reparsed, timings) = (edit.run.files_reparsed, &edit.run.result.timings);
             if config == "edit-tu" && (reparsed > 1 || misses > 2) {
                 eprintln!(
@@ -232,9 +237,13 @@ fn run_preset(
                 );
                 *failures += 1;
             }
+            if config == "edit-shared" && reused == 0 {
+                eprintln!("{preset} w{w}: a shared-header edit reused no include fragment");
+                *failures += 1;
+            }
             println!(
                 "  w{w}: {config:<11} {:>9.0} us  parse {:>9.0} us  analyze {:>9.0} us  \
-                 {reparsed} reparsed, {misses} analyze misses",
+                 {reparsed} reparsed, {misses} analyze misses, {reused} fragments reused",
                 edit.wall_us,
                 us(timings.parse),
                 us(timings.analyze),
@@ -247,6 +256,7 @@ fn run_preset(
                     ("parse".to_string(), us(timings.parse)),
                     ("analyze".to_string(), us(timings.analyze)),
                     ("files_reparsed".to_string(), reparsed as f64),
+                    ("fragments_reused".to_string(), reused as f64),
                 ],
             });
         }

@@ -88,6 +88,14 @@ pub fn combine(a: u64, b: u64) -> u64 {
     h.finish()
 }
 
+/// Scrambles a hash (the splitmix64 finalizer) so that wrapping sums of
+/// scrambled member hashes digest a set independently of its order.
+pub fn mix(v: u64) -> u64 {
+    let v = (v ^ (v >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    let v = (v ^ (v >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    v ^ (v >> 31)
+}
+
 /// Hashes a define set (order-sensitive, like a compiler command line).
 pub fn hash_defines(defines: &[(String, String)]) -> u64 {
     let mut h = Fnv64::new();

@@ -50,19 +50,6 @@ impl<'a> Lexer<'a> {
         }
     }
 
-    /// Creates a lexer that starts `offset` bytes into `text`, where the
-    /// line counter reads `line`. Lexing from a line start that no token,
-    /// comment or line splice straddles gives the same tokens as the
-    /// tail of a lex of the whole text.
-    pub(crate) fn resume(file: FileId, text: &'a str, offset: usize, line: u32) -> Self {
-        Lexer {
-            text: text.as_bytes(),
-            file,
-            pos: offset,
-            line,
-        }
-    }
-
     fn span(&self, start: usize) -> Span {
         Span::new(self.file, start as u32, self.pos as u32)
     }

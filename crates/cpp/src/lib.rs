@@ -17,10 +17,12 @@
 //!   subset exercised by the paper: namespaces, classes with templates and
 //!   nested types, enums, aliases, (member) functions, lambdas, and a full
 //!   expression grammar,
-//! * a preamble ([`preamble`]): the frontend's state after a main file's
-//!   `#include` block, so a re-parse after an edit below the block
-//!   processes only the rest of the file, with the symbol table
-//!   ([`symbols`]) of the block's declarations built once,
+//! * include fragments ([`preamble`]): what each `#include` of a main
+//!   file's leading block preprocessed and parsed to, shared by every
+//!   parse that reaches it in the same state, so a re-parse processes
+//!   only the includes whose files changed and the rest of the main
+//!   file, with the symbol table ([`symbols`]) of their declarations
+//!   built once,
 //! * a pretty printer ([`pretty`]) used when emitting generated headers.
 //!
 //! # Example
@@ -58,8 +60,8 @@ pub mod vfs;
 
 pub use cache::{CacheLookup, ParseCache};
 pub use error::{CppError, Result};
-pub use frontend::{Frontend, ParsedTu};
+pub use frontend::{Frontend, ParsedTu, PooledParse};
 pub use intern::Sym;
-pub use preamble::Preamble;
+pub use preamble::{Chain, Fragment, FragmentPool};
 
 pub use loc::{FileId, Span};

@@ -1,9 +1,10 @@
 //! The preprocessing engine: directives, include resolution, token output.
 
 use std::collections::HashSet;
+use std::sync::Arc;
 
 use crate::error::{CppError, Result};
-use crate::lex::{lex_file, Lexer, Punct, Token, TokenKind};
+use crate::lex::{lex_file, Punct, Token, TokenKind};
 use crate::loc::{FileId, Span};
 use crate::pp::cond::eval_condition;
 use crate::pp::macros::{MacroDef, MacroTable};
@@ -37,10 +38,18 @@ pub fn preprocess(vfs: &Vfs, main_path: &str) -> Result<PpOutput> {
 pub struct Preprocessor<'v> {
     vfs: &'v Vfs,
     macros: MacroTable,
-    pragma_once: HashSet<FileId>,
+    /// Shared, like the macro table's definitions, until changed.
+    pragma_once: Arc<HashSet<FileId>>,
+    /// Wrapping sum of the scrambled ids in `pragma_once`.
+    once_digest: u64,
     stats: PpStats,
     out: Vec<Token>,
     depth: usize,
+    /// Set while [`Preprocessor::next_block_include`] scans the main
+    /// file: an `#include` then stops the scan instead of entering the
+    /// file, which it leaves in `paused`.
+    pausing: bool,
+    paused: Option<FileId>,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -68,29 +77,43 @@ struct FileScan {
     counted: HashSet<u32>,
 }
 
-/// The preprocessor's state at the end of a main file's leading
-/// directive block: everything the rest of the file is preprocessed
-/// against. [`crate::preamble::Preamble`] wraps it with the parsed
-/// prefix and the rule for when it may be reused.
+/// What one `#include` of a main file's leading directive block did:
+/// the preprocessor's state after it, its own share of the statistics
+/// (what it would add to an empty [`PpStats`], with the expansions it
+/// performed in `macro_expansions`) and the line of the last token it
+/// delivered. [`crate::preamble::Fragment`] wraps it with the tokens'
+/// declarations; [`Preprocessor::apply`] replays it.
 #[derive(Debug)]
-pub(crate) struct PpSnapshot {
-    /// The macro table, with its expansion count.
+pub(crate) struct IncludeEffect {
+    /// The macro table after the include.
     pub(crate) macros: MacroTable,
-    /// Files that declared `#pragma once`.
-    pub(crate) pragma_once: HashSet<FileId>,
-    /// Statistics so far; the main file's own lines are in `main_lines`.
+    /// The `#pragma once` set after it, and its digest.
+    pub(crate) pragma_once: Arc<HashSet<FileId>>,
+    pub(crate) once_digest: u64,
+    /// The include's share of the statistics.
     pub(crate) stats: PpStats,
-    /// The main file's active lines counted so far.
-    pub(crate) main_lines: HashSet<u32>,
-    /// Byte offset in the main file just past the newline that ends the
-    /// block's last directive.
-    pub(crate) offset: usize,
-    /// The lexer's line counter at `offset`.
-    pub(crate) line: u32,
-    /// Tokens the block delivered (every one from an included file).
-    pub(crate) tokens: usize,
-    /// Line of the last of those tokens.
+    /// Line of the last token it delivered, if any.
     pub(crate) last_line: Option<u32>,
+}
+
+/// A main file preprocessed one leading-block `#include` at a time
+/// ([`Preprocessor::open_main`]).
+#[derive(Debug)]
+pub(crate) struct MainFile {
+    id: FileId,
+    tokens: Vec<Token>,
+    scan: FileScan,
+    /// False once the scan has passed the leading directive block.
+    in_block: bool,
+    /// Work the includes replayed by [`Preprocessor::apply`] stand in
+    /// for: files first entered, lines, include edges (the main file's own
+    /// included) and macro expansions. `None` when none was replayed.
+    replayed: Option<[usize; 4]>,
+    /// The main file's lines counted through the last replayed include.
+    replayed_main_lines: usize,
+    /// Line of the last token delivered beside the output (by an include
+    /// replayed or processed apart).
+    last_line: Option<u32>,
 }
 
 impl<'v> Preprocessor<'v> {
@@ -99,10 +122,13 @@ impl<'v> Preprocessor<'v> {
         Preprocessor {
             vfs,
             macros: MacroTable::new(),
-            pragma_once: HashSet::new(),
+            pragma_once: Arc::default(),
+            once_digest: 0,
             stats: PpStats::default(),
             out: Vec::new(),
             depth: 0,
+            pausing: false,
+            paused: None,
         }
     }
 
@@ -117,68 +143,127 @@ impl<'v> Preprocessor<'v> {
     /// # Errors
     ///
     /// See [`preprocess`].
-    pub fn run(self, main_path: &str) -> Result<PpOutput> {
-        self.run_main(main_path, None).map(|(out, _)| out)
+    pub fn run(mut self, main_path: &str) -> Result<PpOutput> {
+        let main = self.open_main(main_path)?;
+        self.finish_main(main)
     }
 
-    /// Preprocesses `main_path`. Without `resume`, the whole TU is
-    /// preprocessed and the state at the end of the main file's leading
-    /// directive block is snapshotted on the way (when the block ends
-    /// where a preamble can: see [`Preprocessor::snapshot`]). With it,
-    /// that state is restored and only the rest of the main file is
-    /// lexed and preprocessed: the output holds the rest's tokens and the
-    /// whole TU's statistics. The `pp.*` counters count the work done.
-    pub(crate) fn run_main(
-        mut self,
-        main_path: &str,
-        resume: Option<&PpSnapshot>,
-    ) -> Result<(PpOutput, Option<PpSnapshot>)> {
-        let main = self
+    /// Enters and lexes the main file. Its leading directive block is
+    /// then scanned with [`Preprocessor::next_block_include`] and the
+    /// rest with [`Preprocessor::finish_main`].
+    pub(crate) fn open_main(&mut self, main_path: &str) -> Result<MainFile> {
+        let id = self
             .vfs
             .lookup(main_path)
             .ok_or_else(|| CppError::FileNotFound {
                 path: main_path.into(),
             })?;
-        let text = self.vfs.text(main);
-        let _file_span = yalla_obs::span("pp", self.vfs.path(main));
-        let mut snapshot = None;
-        let mut scan = FileScan::default();
-        let base = match resume {
-            None => {
-                let tokens = self.enter(main, true)?;
-                self.scan(main, &tokens, &mut scan, true)?;
-                snapshot = self.snapshot(main, &tokens, &scan);
-                self.scan(main, &tokens, &mut scan, false)?;
-                None
-            }
-            Some(snap) => {
-                self.macros = snap.macros.clone();
-                self.pragma_once = snap.pragma_once.clone();
-                self.stats = snap.stats.clone();
-                self.depth = 1;
-                scan.counted = snap.main_lines.clone();
-                let tokens = {
-                    let _lex_span = yalla_obs::span("pp", "lex");
-                    Lexer::resume(main, text, snap.offset, snap.line).run()?
-                };
-                self.scan(main, &tokens, &mut scan, false)?;
-                Some(snap)
-            }
+        let tokens = self.enter(id, true)?;
+        Ok(MainFile {
+            id,
+            tokens,
+            scan: FileScan::default(),
+            in_block: true,
+            replayed: None,
+            replayed_main_lines: 0,
+            last_line: None,
+        })
+    }
+
+    /// Scans the main file's leading directive block (everything before
+    /// its first active token outside a directive) up to its next active
+    /// `#include`, records the include edge and returns the included file
+    /// without entering it; the caller then processes it apart
+    /// ([`Preprocessor::include_apart`]) or replays it
+    /// ([`Preprocessor::apply`]). `None` once the block has ended.
+    pub(crate) fn next_block_include(&mut self, main: &mut MainFile) -> Result<Option<FileId>> {
+        if !main.in_block {
+            return Ok(None);
+        }
+        self.pausing = true;
+        let scanned = self.scan(main.id, &main.tokens, &mut main.scan, true);
+        self.pausing = false;
+        scanned?;
+        let paused = self.paused.take();
+        main.in_block = paused.is_some();
+        Ok(paused)
+    }
+
+    /// A digest of the state the next include would be processed in: the
+    /// macro table (the predefined macros included) and the `#pragma
+    /// once` set.
+    pub(crate) fn state_digest(&self) -> u64 {
+        crate::hash::combine(self.macros.digest(), self.once_digest)
+    }
+
+    /// Processes the include of `target` that
+    /// [`Preprocessor::next_block_include`] returned, apart from the
+    /// output: returns the tokens it delivers and what it did. Its
+    /// statistics are added to the TU's too.
+    pub(crate) fn include_apart(
+        &mut self,
+        main: &mut MainFile,
+        target: FileId,
+    ) -> Result<(Vec<Token>, IncludeEffect)> {
+        let stats = std::mem::take(&mut self.stats);
+        let out = std::mem::take(&mut self.out);
+        let expansions = self.macros.expansions;
+        let processed = self.process_file(target, false);
+        let mut share = std::mem::replace(&mut self.stats, stats);
+        let tokens = std::mem::replace(&mut self.out, out);
+        processed?;
+        share.macro_expansions = self.macros.expansions - expansions;
+        self.stats.merge(&share);
+        let last_line = tokens.last().map(|t| t.line);
+        main.last_line = last_line.or(main.last_line);
+        let effect = IncludeEffect {
+            macros: self.macros.clone(),
+            pragma_once: self.pragma_once.clone(),
+            once_digest: self.once_digest,
+            stats: share,
+            last_line,
         };
-        self.leave(main, scan)?;
+        Ok((tokens, effect))
+    }
+
+    /// Replays an include that [`Preprocessor::next_block_include`]
+    /// returned from what a processing of it in the same state did: the
+    /// state after it, and its statistics, are restored without entering
+    /// a file.
+    pub(crate) fn apply(&mut self, main: &mut MainFile, effect: &IncludeEffect) {
+        let expansions = self.macros.expansions + effect.stats.macro_expansions;
+        self.macros = effect.macros.clone();
+        self.macros.expansions = expansions;
+        self.pragma_once = effect.pragma_once.clone();
+        self.once_digest = effect.once_digest;
+        let files = self.stats.merge(&effect.stats);
+        let work = main.replayed.get_or_insert([0; 4]);
+        work[0] += files;
+        work[1] += effect.stats.lines_compiled;
+        work[2] += effect.stats.include_edges.len() + 1;
+        work[3] += effect.stats.macro_expansions;
+        main.replayed_main_lines = main.scan.counted.len();
+        main.last_line = effect.last_line.or(main.last_line);
+    }
+
+    /// Preprocesses the rest of the main file and returns the output:
+    /// the tokens the main file delivered after the includes processed
+    /// apart or replayed (all of its tokens when there were none), and
+    /// the whole TU's statistics. The `pp.*` counters count the work
+    /// done: everything but the replayed includes and the main file's
+    /// lines through the last of them.
+    pub(crate) fn finish_main(mut self, mut main: MainFile) -> Result<PpOutput> {
+        let _file_span = yalla_obs::span("pp", self.vfs.path(main.id));
+        self.scan(main.id, &main.tokens, &mut main.scan, false)?;
+        self.leave(main.id, main.scan)?;
         self.stats.macro_expansions = self.macros.expansions;
         {
             use yalla_obs::metrics::names;
-            // Work done: on a resumed run, the main file plus whatever
-            // entered after its leading block.
-            let (files, lines, edges, expansions) = match base {
-                None => (0, 0, 0, 0),
-                Some(b) => (
-                    b.stats.files_entered.len() - 1,
-                    b.stats.lines_compiled + b.main_lines.len(),
-                    b.stats.include_edges.len(),
-                    b.macros.expansions,
-                ),
+            let [files, lines, edges, expansions] = match main.replayed {
+                None => [0; 4],
+                Some([files, lines, edges, expansions]) => {
+                    [files, lines + main.replayed_main_lines, edges, expansions]
+                }
             };
             let s = &self.stats;
             yalla_obs::count(
@@ -199,56 +284,16 @@ impl<'v> Preprocessor<'v> {
             .out
             .last()
             .map(|t| t.line)
-            .or(base.and_then(|b| b.last_line))
+            .or(main.last_line)
             .unwrap_or(1);
         self.out.push(Token {
             kind: TokenKind::Eof,
-            span: Span::new(main, 0, 0),
+            span: Span::new(main.id, 0, 0),
             line: last_line,
         });
-        let out = PpOutput {
+        Ok(PpOutput {
             tokens: self.out,
             stats: self.stats,
-        };
-        Ok((out, snapshot))
-    }
-
-    /// The state after the main file's leading directive block, which
-    /// the first scan of `tokens` stopped behind. There is none when:
-    ///
-    /// * the block is empty, or a conditional is still open where it
-    ///   ends;
-    /// * no newline ends its last directive: the preamble's bytes run
-    ///   through that newline, so that an edit to the directive's line
-    ///   (`#define X 1` → `#define X 12`) leaves them no longer a prefix
-    ///   of the new text;
-    /// * lexing from that newline does not give the tokens the whole-file
-    ///   lex gave (a block comment or a line splice straddles it);
-    /// * the block includes the main file itself, whose later text it
-    ///   would then depend on.
-    fn snapshot(&self, main: FileId, tokens: &[Token], scan: &FileScan) -> Option<PpSnapshot> {
-        if scan.pos == 0 || !scan.conds.is_empty() {
-            return None;
-        }
-        let text = self.vfs.text(main);
-        let last = &tokens[scan.pos - 1];
-        let offset = last.span.end as usize + text[last.span.end as usize..].find('\n')? + 1;
-        let line = last.line + 1;
-        let rest = Lexer::resume(main, text, offset, line).run().ok()?;
-        if rest[..] != tokens[scan.pos..]
-            || self.stats.include_edges.iter().any(|&(_, to)| to == main)
-        {
-            return None;
-        }
-        Some(PpSnapshot {
-            macros: self.macros.clone(),
-            pragma_once: self.pragma_once.clone(),
-            stats: self.stats.clone(),
-            main_lines: scan.counted.clone(),
-            offset,
-            line,
-            tokens: self.out.len(),
-            last_line: self.out.last().map(|t| t.line),
         })
     }
 
@@ -325,6 +370,9 @@ impl<'v> Preprocessor<'v> {
                 self.handle_directive(file, dir, tok.span, &mut scan.conds, active)?;
                 scan.pos = j;
                 scan.prev_line = dir_line;
+                if self.paused.is_some() {
+                    return Ok(());
+                }
                 continue;
             }
 
@@ -448,8 +496,13 @@ impl<'v> Preprocessor<'v> {
                 })?;
             }
             "pragma" => {
-                if active && rest.first().is_some_and(|t| t.kind.is_ident("once")) {
-                    self.pragma_once.insert(file);
+                if active
+                    && rest.first().is_some_and(|t| t.kind.is_ident("once"))
+                    && !self.pragma_once.contains(&file)
+                    && Arc::make_mut(&mut self.pragma_once).insert(file)
+                {
+                    let id = crate::hash::mix(u64::from(file.0) + 1);
+                    self.once_digest = self.once_digest.wrapping_add(id);
                 }
             }
             "error" => {
@@ -511,6 +564,10 @@ impl<'v> Preprocessor<'v> {
                 span,
             })?;
         self.stats.include_edges.push((includer, target));
+        if self.pausing {
+            self.paused = Some(target);
+            return Ok(());
+        }
         self.process_file(target, false)
     }
 

@@ -4,6 +4,7 @@ use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use crate::error::{CppError, Result};
+use crate::hash::{self, Fnv64};
 use crate::lex::{lex_str, Punct, Token, TokenKind};
 use crate::loc::Span;
 
@@ -46,7 +47,11 @@ impl MacroDef {
 /// an expansion holds its definition without copying the body.
 #[derive(Debug, Clone, Default)]
 pub struct MacroTable {
-    defs: HashMap<String, Arc<MacroDef>>,
+    /// Shared until changed: a clone of the table, which a snapshot of
+    /// the preprocessor's state takes, copies no definition.
+    defs: Arc<HashMap<String, Arc<MacroDef>>>,
+    /// Wrapping sum of the scrambled hashes of every `(name, definition)`.
+    digest: u64,
     /// Number of expansions performed (work proxy for the cost model).
     pub expansions: usize,
 }
@@ -59,12 +64,29 @@ impl MacroTable {
 
     /// Defines (or redefines) a macro.
     pub fn define(&mut self, name: impl Into<String>, def: MacroDef) {
-        self.defs.insert(name.into(), Arc::new(def));
+        let name = name.into();
+        let added = entry_hash(&name, &def);
+        let removed = self.defs.get(&name).map_or(0, |old| entry_hash(&name, old));
+        self.digest = self.digest.wrapping_add(added).wrapping_sub(removed);
+        Arc::make_mut(&mut self.defs).insert(name, Arc::new(def));
     }
 
     /// Removes a macro; succeeds silently when absent (like `#undef`).
     pub fn undef(&mut self, name: &str) {
-        self.defs.remove(name);
+        if !self.defs.contains_key(name) {
+            return;
+        }
+        if let Some(old) = Arc::make_mut(&mut self.defs).remove(name) {
+            self.digest = self.digest.wrapping_sub(entry_hash(name, &old));
+        }
+    }
+
+    /// A digest of the definitions (not of the expansion count): equal
+    /// tables have equal digests, whatever order they were built in. It
+    /// is kept up to date by [`MacroTable::define`] and
+    /// [`MacroTable::undef`], so reading it costs nothing.
+    pub fn digest(&self) -> u64 {
+        self.digest
     }
 
     /// True if `name` is currently defined.
@@ -261,6 +283,54 @@ fn expand_one(tok: &Token, arg_for: &impl Fn(&str) -> Option<Vec<Token>>) -> Vec
         }
     }
     vec![tok.clone()]
+}
+
+/// The scrambled hash of one definition: what an expansion reads of it
+/// (parameters, variadic flag and the kinds of its body tokens, whose
+/// spans every expansion replaces).
+fn entry_hash(name: &str, def: &MacroDef) -> u64 {
+    let mut h = Fnv64::new();
+    h.write_str(name);
+    match &def.params {
+        None => h.write(&[0]),
+        Some(params) => {
+            h.write(&[1, u8::from(def.variadic)]);
+            for p in params {
+                h.write_str(p);
+            }
+        }
+    }
+    h.write_u64(def.body.len() as u64);
+    for tok in &def.body {
+        match &tok.kind {
+            TokenKind::Ident(s) => {
+                h.write(&[1]);
+                h.write_str(s);
+            }
+            TokenKind::Int(v) => {
+                h.write(&[2]);
+                h.write_u64(*v as u64);
+            }
+            TokenKind::Float(v) => {
+                h.write(&[3]);
+                h.write_u64(v.to_bits());
+            }
+            TokenKind::Str(s) => {
+                h.write(&[4]);
+                h.write_str(s);
+            }
+            TokenKind::Char(c) => {
+                h.write(&[5]);
+                h.write_u64(u64::from(*c));
+            }
+            TokenKind::Punct(p) => {
+                h.write(&[6]);
+                h.write_str(p.as_str());
+            }
+            TokenKind::Eof => h.write(&[7]),
+        }
+    }
+    hash::mix(h.finish())
 }
 
 fn respan(tokens: &[Token], span: Span, line: u32) -> Vec<Token> {

@@ -1,6 +1,6 @@
 //! Preprocessing statistics (the raw material of the paper's Table 3).
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashSet};
 
 use crate::loc::FileId;
 
@@ -41,6 +41,28 @@ impl PpStats {
     pub(crate) fn add_lines(&mut self, file: FileId, lines: usize) {
         self.lines_compiled += lines;
         *self.lines_per_file.entry(file).or_insert(0) += lines;
+    }
+
+    /// Adds `share`, the statistics of a part of the TU preprocessed on
+    /// its own from an empty [`PpStats`], as if that part had been
+    /// preprocessed here: its files are entered in order, its lines and
+    /// include edges added. Expansions are left to the caller. Returns
+    /// how many of its files entered the TU first.
+    pub(crate) fn merge(&mut self, share: &PpStats) -> usize {
+        let mut seen: HashSet<FileId> = self.files_entered.iter().copied().collect();
+        let before = self.files_entered.len();
+        for &file in &share.files_entered {
+            if seen.insert(file) {
+                self.files_entered.push(file);
+            }
+        }
+        self.headers.extend(share.headers.iter().copied());
+        self.lines_compiled += share.lines_compiled;
+        for (&file, &lines) in &share.lines_per_file {
+            *self.lines_per_file.entry(file).or_insert(0) += lines;
+        }
+        self.include_edges.extend_from_slice(&share.include_edges);
+        self.files_entered.len() - before
     }
 
     /// Records the first entry of `file` into the TU.

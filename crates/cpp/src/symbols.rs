@@ -12,18 +12,20 @@
 //! a table costs one key per symbol, and dropping it frees no declaration
 //! the parse still holds.
 //!
-//! **Extending a prefix table.** A TU whose declarations start with a
-//! preamble's ([`crate::preamble`]) need not walk them again: the
-//! preamble builds the table of its declarations once
-//! ([`crate::Preamble::table`]), and [`SymbolTable::extend`] keeps that
+//! **Extending a prefix table.** A TU whose declarations start with those
+//! of its include fragments ([`crate::preamble`]) need not walk them
+//! again: the fragments' chain builds the table of their declarations
+//! once ([`crate::Chain::table`]), and [`SymbolTable::extend`] keeps that
 //! table as a shared, read-only base behind an `Arc` and inserts only the
-//! rest of the TU's declarations into an overlay. A new key goes into the
-//! overlay; a key the base already holds (a reopened namespace, a
+//! rest of the TU's declarations into an overlay. A base may itself
+//! extend a base (a chain's table extends the table of its first
+//! fragment), so no table is ever copied. A new key goes into the
+//! overlay; a key a base already holds (a reopened namespace, a
 //! redeclaration, the definition of a class the base only declares) is
-//! copied into the overlay first and changed there, so the base is never
-//! written. Lookups read the overlay, then the base; unqualified
-//! candidates are the base's keys, then the overlay's, in insertion
-//! order. The result answers every query exactly as
+//! copied into the overlay first and changed there, so no base is ever
+//! written. Lookups read the overlay, then each base in turn; unqualified
+//! candidates are the innermost base's keys, then each overlay's, in
+//! insertion order. The result answers every query exactly as
 //! [`SymbolTable::build`] of the whole TU would.
 
 use std::collections::hash_map::Entry;
@@ -93,8 +95,7 @@ pub struct SymbolInfo {
 /// A queryable symbol table for one translation unit.
 #[derive(Debug, Clone, Default)]
 pub struct SymbolTable {
-    /// The shared table of a declaration prefix this table extends; it
-    /// never has a base of its own.
+    /// The shared table of a declaration prefix this table extends.
     base: Option<Arc<SymbolTable>>,
     /// The entries this table inserted: new keys, and base entries its
     /// own declarations changed (copied on write).
@@ -102,7 +103,7 @@ pub struct SymbolTable {
     /// Secondary index over the new keys: unqualified name → keys in
     /// insertion order (for unqualified lookup).
     by_base: HashMap<String, Vec<String>>,
-    /// Number of keys `by_key` holds that the base does not.
+    /// Number of keys `by_key` holds that no base does.
     added: usize,
 }
 
@@ -131,7 +132,7 @@ impl SymbolTable {
     }
 
     /// Builds the table of a sequence of top-level declarations, such as
-    /// a preamble's.
+    /// an include fragment's.
     pub fn from_decls(decls: &[Decl]) -> Self {
         Self::insert_all(SymbolTable::default(), decls)
     }
@@ -141,16 +142,19 @@ impl SymbolTable {
     /// copied, and only `decls` are walked. Every query answers as
     /// [`SymbolTable::build`] of the whole TU would.
     pub fn extend(prefix: &Arc<SymbolTable>, decls: &[Decl]) -> Self {
-        let table = match prefix.base {
-            // An extended prefix shares its own base; its few entries
-            // are copied.
-            Some(_) => SymbolTable::clone(prefix),
-            None => SymbolTable {
-                base: Some(Arc::clone(prefix)),
-                ..SymbolTable::default()
-            },
+        let table = SymbolTable {
+            base: Some(Arc::clone(prefix)),
+            ..SymbolTable::default()
         };
         Self::insert_all(table, decls)
+    }
+
+    /// This table and its bases, innermost base first.
+    fn levels(&self) -> Vec<&SymbolTable> {
+        let mut levels: Vec<&SymbolTable> =
+            std::iter::successors(Some(self), |t| t.base.as_deref()).collect();
+        levels.reverse();
+        levels
     }
 
     /// Walks `decls` into `table` and counts the entries it inserted.
@@ -182,14 +186,16 @@ impl SymbolTable {
     pub fn get(&self, key: &str) -> Option<&SymbolInfo> {
         self.by_key
             .get(key)
-            .or_else(|| self.base.as_ref()?.by_key.get(key))
+            .or_else(|| self.base.as_ref()?.get(key))
     }
 
-    /// The keys whose unqualified name is `name`: the base's, then this
-    /// table's, each in insertion order.
-    fn keys_named<'a>(&'a self, name: &str) -> impl Iterator<Item = &'a String> {
-        let base = self.base.as_ref().and_then(|b| b.by_base.get(name));
-        base.into_iter().chain(self.by_base.get(name)).flatten()
+    /// The keys whose unqualified name is `name`: the innermost base's,
+    /// then each overlay's, each in insertion order.
+    fn keys_named<'a>(&'a self, name: &'a str) -> impl Iterator<Item = &'a String> {
+        self.levels()
+            .into_iter()
+            .filter_map(move |t| t.by_base.get(name))
+            .flatten()
     }
 
     /// Resolves a possibly-unqualified name against the table: tries the
@@ -216,12 +222,21 @@ impl SymbolTable {
         }
     }
 
-    /// Iterates over all symbols.
+    /// Iterates over all symbols: each level's entries that no later
+    /// level copied, innermost base first.
     pub fn iter(&self) -> impl Iterator<Item = &SymbolInfo> {
-        let copied = self.by_key.len() - self.added;
-        let base = self.base.iter().flat_map(|b| b.by_key.values());
-        base.filter(move |s| copied == 0 || !self.by_key.contains_key(&s.key))
-            .chain(self.by_key.values())
+        let levels = self.levels();
+        (0..levels.len()).flat_map(move |i| {
+            let later: Vec<&SymbolTable> = levels[i + 1..]
+                .iter()
+                .copied()
+                .filter(|t| t.by_key.len() > t.added)
+                .collect();
+            levels[i]
+                .by_key
+                .values()
+                .filter(move |s| later.iter().all(|t| !t.by_key.contains_key(&s.key)))
+        })
     }
 
     fn add_decl(&mut self, decl: &Decl, scope: &Scope, in_class: bool) {
@@ -290,7 +305,7 @@ impl SymbolTable {
         let key = format!("{}{name}", scope.prefix);
         let existing = match self.by_key.entry(key) {
             Entry::Occupied(e) => e.into_mut(),
-            Entry::Vacant(e) => match self.base.as_ref().and_then(|b| b.by_key.get(e.key())) {
+            Entry::Vacant(e) => match self.base.as_ref().and_then(|b| b.get(e.key())) {
                 // Copy on write: the base is shared and never changed.
                 Some(info) => e.insert(info.clone()),
                 None => {
@@ -447,7 +462,7 @@ mod tests {
             let rest = &whole.decls[prefix_tu.decls.len()..];
             let extended = SymbolTable::extend(&base, rest);
             assert_same(&extended, &SymbolTable::build(&whole));
-            // Extending an extended table shares the same base.
+            // Extending an extended table stacks a second overlay.
             let (first, second) = rest.split_at(rest.len() / 2);
             let twice = SymbolTable::extend(&Arc::new(SymbolTable::extend(&base, first)), second);
             assert_same(&twice, &SymbolTable::build(&whole));

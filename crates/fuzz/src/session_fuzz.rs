@@ -6,11 +6,16 @@
 //! functions, identical-content touches, driver edits outside the
 //! engine's input set, and a `#define` added to or removed from the main
 //! source's include block that the library tests with `#ifdef`, which a
-//! parse resuming from a stale preamble would miss), and after every edit asserts that the warm
+//! stale include fragment would miss), and after every edit asserts that the warm
 //! rerun's artifacts are byte-identical to a cold engine run over the
 //! same file state, and that its verification verdict and before/after
 //! statistics are equal to the cold run's. Any difference means a cache
 //! key failed to capture an input.
+//!
+//! A second leg ([`run_shared_define_case`]) makes the driver a second
+//! TU root, so that the roots share the library header's include
+//! fragment, and defines the library's flag in one root's include block
+//! at a time: the fragment must miss for that root alone.
 //!
 //! With a store dir attached, every step additionally simulates a
 //! process restart: a *fresh* session (fresh [`Store`] handle, empty
@@ -179,6 +184,71 @@ pub fn run_session_case_with_store(
                 });
             }
         }
+    }
+    Ok(report)
+}
+
+/// The shared-fragment leg. The project generated from `seed` gets its
+/// driver as a second TU root, so both roots (and the wrappers check)
+/// reach the library header in the same state and share one include
+/// fragment of it. The leg then defines the flag the library tests with
+/// `#ifdef` in one root's include block, first the driver's, then the
+/// main source's, and removes it again: the edited root's include of the
+/// library must miss the shared fragment while the other root's still
+/// reuses it. After every step the warm rerun must equal a cold engine
+/// run over the same files.
+///
+/// # Errors
+///
+/// Returns a diagnostic when the engine fails.
+pub fn run_shared_define_case(seed: u64) -> Result<SessionCaseReport, String> {
+    let mut model = ProjectModel::generate(seed);
+    model.wide_flag = Some(false);
+    let (vfs, mut options) = model.render();
+    options.tu_roots = vec![MAIN_SOURCE.to_string(), DRIVER_SOURCE.to_string()];
+    let text_of = |vfs: &yalla_cpp::vfs::Vfs, path: &str| {
+        vfs.lookup(path)
+            .map(|id| vfs.text(id).to_string())
+            .ok_or_else(|| format!("no `{path}` in the project"))
+    };
+    let (driver, main) = (text_of(&vfs, DRIVER_SOURCE)?, text_of(&vfs, MAIN_SOURCE)?);
+    let mut session = Session::with_store(options.clone(), vfs, None);
+    session.rerun().map_err(|e| format!("cold run: {e}"))?;
+    model.wide_flag = Some(true);
+    let steps = [
+        (DRIVER_SOURCE, format!("#define {WIDE_FLAG} 1\n{driver}")),
+        (MAIN_SOURCE, model.render_main()),
+        (DRIVER_SOURCE, driver),
+        (MAIN_SOURCE, main),
+    ];
+    let mut report = SessionCaseReport {
+        edits: 0,
+        edit_log: Vec::new(),
+        mismatches: Vec::new(),
+        touch_recomputes: 0,
+    };
+    for (step, (path, text)) in steps.into_iter().enumerate() {
+        let defined = text.contains(&format!("#define {WIDE_FLAG}"));
+        let description = format!(
+            "{} {WIDE_FLAG} in {path}",
+            if defined { "define" } else { "undefine" }
+        );
+        session.apply_edit(path, text).map_err(|e| e.to_string())?;
+        let warm = session
+            .rerun()
+            .map_err(|e| format!("warm rerun after `{description}`: {e}"))?;
+        let cold = Engine::new(options.clone())
+            .run(session.vfs())
+            .map_err(|e| format!("cold comparison run: {e}"))?;
+        for artifact in differing_outputs(&warm.result, &cold) {
+            report.mismatches.push(SessionMismatch {
+                step: step + 1,
+                edit: description.clone(),
+                artifact: artifact.to_string(),
+            });
+        }
+        report.edits += 1;
+        report.edit_log.push(description);
     }
     Ok(report)
 }

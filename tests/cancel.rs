@@ -13,6 +13,12 @@
 //! same boundary every time, regardless of thread timing — the sweep
 //! below genuinely visits every boundary instead of sampling whatever
 //! the scheduler happened to produce.
+//!
+//! The sessions and the serve state whose checkpoints and reruns are
+//! counted have no store attached (`Session::with_store(.., None)`):
+//! `Session::new` would attach the process-wide store when
+//! `YALLA_CACHE_DIR` is set, and a disk-warm run passes fewer checkpoints
+//! than the sweep expects.
 
 mod common;
 
@@ -93,7 +99,7 @@ fn fingerprint(result: &SubstitutionResult) -> (String, String, Vec<(String, Str
 /// boundary axis of the sweep below.
 fn boundary_count(options: &Options, vfs: &Vfs) -> u64 {
     let exec = Executor::new(1);
-    let mut session = Session::new(options.clone(), vfs.clone());
+    let mut session = Session::with_store(options.clone(), vfs.clone(), None);
     let token = CancelToken::new();
     session
         .rerun_with(&exec, &token, Priority::Interactive)
@@ -107,7 +113,7 @@ type Edit = fn(&mut Session);
 /// `edit` is `None`, otherwise warmed by one run and then edited.
 fn prepared(exec: &Executor, project: Project, edit: Option<Edit>) -> Session {
     let (options, vfs) = project();
-    let mut session = Session::new(options, vfs);
+    let mut session = Session::with_store(options, vfs, None);
     if let Some(edit) = edit {
         session.rerun_on(exec).expect("warm-up run");
         edit(&mut session);
@@ -258,7 +264,7 @@ fn cancelled_runs_persist_no_torn_store_records() {
     let (options, vfs) = small_project();
     let baseline = {
         let exec = Executor::new(1);
-        let mut session = Session::new(options.clone(), vfs.clone());
+        let mut session = Session::with_store(options.clone(), vfs.clone(), None);
         fingerprint(&session.rerun_on(&exec).expect("clean run").result)
     };
     let boundaries = boundary_count(&options, &vfs);
@@ -306,7 +312,7 @@ fn serve_source(rev: u64) -> String {
 
 #[test]
 fn superseding_edits_cancel_the_inflight_rerun_and_coalesce() {
-    let state = Arc::new(ServeState::new(Executor::new(2)));
+    let state = Arc::new(ServeState::with_store(Executor::new(2), None));
     // A slow subject: 300ms of modeled build latency gives the edits
     // below a wide window to land mid-rerun.
     let open = format!(

@@ -31,16 +31,22 @@
 //! | rewrite | per source: file hash + reachable source hashes + plan key |
 //! | verify  | closure hash + emitted artifacts + rewritten source hashes |
 //! | └ user TU parse | the parse rule over the overlaid tree, in the session's second [`ParseCache`] (no store, the same fragment pool) |
-//! | └ wrappers check | wrappers path + defines, validated against the wrappers TU's include closure (the parse-stage depfile rule); a new check reads the expensive header's fragment from the pool and keeps no declaration |
+//! | └ wrappers check | wrappers path + defines, validated against the wrappers TU's include closure (the parse-stage depfile rule), for each of the last [`HISTORY`] passing checks; a new check reads the expensive header's fragment from the pool and keeps no declaration |
 //!
 //! A verify miss parses the substituted TU once, for the sources check,
 //! the incomplete-type check and the after-statistics alike. The wrappers
-//! check, which parses the whole expensive header, keeps a memo of its
-//! last pass: the wrappers TU's `(path, content hash)` list and the
-//! defines hash, no AST. While every recorded file (the emitted
+//! check, which parses the whole expensive header, memoizes its passes:
+//! a memo is the wrappers TU's `(path, content hash)` list and the
+//! defines hash, no AST. While every file one memo recorded (the emitted
 //! lightweight header and wrappers file included) still hashes the same,
-//! the pass is reused and `verify.wrappers_reused` counts it; a failed
+//! its pass is reused and `verify.wrappers_reused` counts it; a failed
 //! check is never memoized.
+//!
+//! For an undo, the session keeps the newest version of each key and the
+//! one it replaced ([`HISTORY`]): each key of both parse caches, and the
+//! wrappers memo (newest first, a reused check moved to the front). So
+//! reverting the last edit, a Kokkos lambda body included, re-hits every
+//! parse and preprocesses nothing.
 //!
 //! Each stage is declared once in [`Session::rerun_with`]: its
 //! dependencies, a key function over its predecessors' artifacts, its
@@ -88,9 +94,9 @@
 //!
 //! Verify's parse of the substituted TU goes through a second
 //! [`ParseCache`], with no store and the same fragment pool: it has the
-//! parse stage's depfile rule, version history and budget, so it reuses
-//! the substituted main source's fragments after a body edit and hits
-//! after a revert. The pool lives and dies with the session.
+//! parse stage's depfile rule, history and budget, so it reuses the
+//! substituted main source's fragments after a body edit and hits after
+//! a revert. The pool lives and dies with the session.
 //!
 //! Artifacts are byte-identical at every worker count: stage closures
 //! are pure functions of their memoized inputs, per-source rewrites are
@@ -105,7 +111,7 @@ use std::time::Duration;
 
 use yalla_analysis::symbols::SymbolTable;
 use yalla_analysis::usage::UsageReport;
-use yalla_cpp::cache::{CachedParse, ParseCache};
+use yalla_cpp::cache::{CachedParse, ParseCache, HISTORY};
 use yalla_cpp::hash::{self, Fnv64};
 use yalla_cpp::loc::FileId;
 use yalla_cpp::vfs::Vfs;
@@ -375,7 +381,7 @@ fn fold(mut result: SubstitutionResult, records: &[StageOutcome]) -> SessionRun 
 /// The session's memos: the parse cache, one slot per stage (one per
 /// secondary TU root for usage, one per source for rewrite, by
 /// position), the parse cache of verify's substituted TU and the
-/// wrappers-check memo.
+/// wrappers-check memos.
 #[derive(Debug, Default)]
 struct Slots {
     parse: ParseCache,
@@ -389,7 +395,9 @@ struct Slots {
     verify: SharedSlot<VerifyArtifact>,
     /// Verify's parses of the substituted TU, over the overlaid tree.
     user_parse: ParseCache,
-    wrappers: Mutex<Option<WrappersMemo>>,
+    /// Verify's last [`HISTORY`] passing wrappers checks, most recently
+    /// used first.
+    wrappers: Mutex<Vec<WrappersMemo>>,
 }
 
 /// One rerun: its inputs, the session's memos, the cells carrying each
@@ -1207,8 +1215,8 @@ fn stage_rewrite(run: &Run, i: usize) -> String {
 }
 
 /// The verify stage. One parse of the substituted TU feeds the sources
-/// check, the incomplete-type check and the after-statistics; the
-/// wrappers check is reused while `memo` still validates.
+/// check, the incomplete-type check and the after-statistics; a wrappers
+/// check is reused while one of the session's memos still validates.
 fn stage_verify(run: &Run) -> VerifyArtifact {
     let (opts, emit_art) = (&run.opts, done(&run.emit));
     let inputs = VerifyInputs {
@@ -1252,24 +1260,23 @@ fn stage_verify(run: &Run) -> VerifyArtifact {
     }
 }
 
-/// Check 3 through the session's memo. Only a passing check is memoized,
-/// and only once its parse has completed, so a failure re-parses next
-/// time — like [`ParseCache`] errors, which are never cached.
-fn wrappers_check(inputs: &VerifyInputs<'_>, memo: &Mutex<Option<WrappersMemo>>) -> bool {
-    let reused = memo
-        .lock()
-        .expect("wrappers memo lock")
-        .as_ref()
-        .is_some_and(|m| inputs.reuses(m));
-    if reused {
-        yalla_obs::count(yalla_obs::metrics::names::VERIFY_WRAPPERS_REUSED, 1);
-        return true;
-    }
-    match inputs.check_wrappers() {
-        Some(fresh) => {
-            *memo.lock().expect("wrappers memo lock") = Some(fresh);
-            true
+/// Check 3 through the session's memos. Only a passing check is
+/// memoized, and only once its parse has completed, so a failure re-parses
+/// next time — like [`ParseCache`] errors, which are never cached.
+fn wrappers_check(inputs: &VerifyInputs<'_>, memos: &Mutex<Vec<WrappersMemo>>) -> bool {
+    {
+        let mut memos = memos.lock().expect("wrappers memo lock");
+        if let Some(i) = memos.iter().position(|m| inputs.reuses(m)) {
+            memos[..=i].rotate_right(1);
+            yalla_obs::count(yalla_obs::metrics::names::VERIFY_WRAPPERS_REUSED, 1);
+            return true;
         }
-        None => false,
     }
+    let Some(fresh) = inputs.check_wrappers() else {
+        return false;
+    };
+    let mut memos = memos.lock().expect("wrappers memo lock");
+    memos.insert(0, fresh);
+    memos.truncate(HISTORY);
+    true
 }

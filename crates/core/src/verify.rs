@@ -26,14 +26,16 @@
 //! ([`yalla_cpp::frontend::check_with`]). A passing check leaves a
 //! `WrappersMemo` (the wrappers TU's depfile), and a later check whose
 //! inputs still match it (`VerifyInputs::reuses`) has the same verdict
-//! without a parse.
+//! without a parse. A session keeps the last
+//! [`HISTORY`](yalla_cpp::cache::HISTORY) memos, so reverting an edit
+//! that changed the emitted artifacts reuses the check from before it.
 
 use std::collections::{BTreeMap, HashSet};
 
 use yalla_analysis::incomplete::check_incomplete_rules;
 use yalla_analysis::symbols::{SymbolKind, SymbolTable};
 use yalla_cpp::cache::{depfile_of, depfile_valid};
-use yalla_cpp::frontend::{Frontend, ParsedTu};
+use yalla_cpp::frontend::{check_with, Frontend, ParsedTu};
 use yalla_cpp::hash;
 use yalla_cpp::vfs::{self, Vfs};
 use yalla_cpp::FragmentPool;
@@ -89,18 +91,17 @@ impl VerifyInputs<'_> {
 
     /// Check 3: parses the wrappers file against the real header, through
     /// the include fragments of [`VerifyInputs::fragments`], keeping no
-    /// declaration ([`Frontend::check_with`]). Returns the memo of a
+    /// declaration ([`check_with`]). Returns the memo of a
     /// passing check, `None` when the parse fails.
     pub(crate) fn check_wrappers(&self) -> Option<WrappersMemo> {
         let mut wrap_vfs = self.original_vfs.clone();
         wrap_vfs.add_file(self.lightweight_name, self.lightweight);
         wrap_vfs.add_file(self.wrappers_name, self.wrappers);
-        let fe = Frontend::with_defines(wrap_vfs, self.defines);
-        let stats = fe.check_with(self.wrappers_name, self.fragments).ok()?;
+        let stats = check_with(&wrap_vfs, self.defines, self.wrappers_name, self.fragments).ok()?;
         Some(WrappersMemo {
             wrappers_name: self.wrappers_name.to_string(),
             defines_hash: hash::hash_defines(self.defines),
-            deps: depfile_of(fe.vfs(), &stats.files_entered),
+            deps: depfile_of(&wrap_vfs, &stats.files_entered),
         })
     }
 
@@ -286,9 +287,7 @@ mod tests {
         vfs.add_file("m.cpp", "#include <lib.hpp>\nint m;\n");
         let defines = [("WITH_BIG".to_string(), "1".to_string())];
         let pool = FragmentPool::new();
-        let root = Frontend::with_defines(vfs.clone(), &defines)
-            .parse_with("m.cpp", &pool)
-            .unwrap();
+        let root = yalla_cpp::frontend::parse_with(&vfs, &defines, "m.cpp", &pool).unwrap();
         assert_eq!(pool.len(), 1);
         let memo = big_inputs(&vfs, &defines, &pool)
             .check_wrappers()

@@ -21,6 +21,10 @@
 //!   which keeps its fragments alive in the pool. One pool may serve
 //!   several caches ([`ParseCache::with_pool`]), so that every root of a
 //!   session shares one rebuild of a header they all include;
+//! * **history**: each key keeps its newest version and the one it
+//!   replaced ([`HISTORY`]), so undoing the last edit is a hit;
+//!   [`ParseCache::make_room`] cuts a key to its newest version before a
+//!   miss, so the miss's insert evicts nothing;
 //! * **budget**: an entry's estimated bytes count the lines its chain did
 //!   not deliver, and each fragment counts its own once, in its pool
 //!   ([`FragmentPool::bytes`]), for as long as any entry holds it; the
@@ -276,56 +280,17 @@ struct Entry {
     stamp: u64,
 }
 
-/// Parse versions retained per `(path, defines)` key. A small history
-/// makes edit-then-revert (comment out, rebuild, undo, rebuild — the
-/// A/B pattern of an interactive session) a cache *hit* instead of a
-/// recompute, at the cost of a few retained ASTs per TU.
-const VERSIONS_PER_KEY: usize = 4;
-
-/// Distinct chains a key's history holds. Versions of main-file edits
-/// share one chain and cost only the main file's own declarations, but
-/// each header edit's version holds fragments of its own: a Kokkos TU's
-/// `functor.hpp` fragment is its whole ~110k-line closure, 86 MB of AST.
-/// Two chains keep the version an edit replaced (the revert target)
-/// without a header AST per older edit, so what a session holds does not
-/// grow with the number of header edits in its history.
-const CHAINS_PER_KEY: usize = 2;
-
-/// True when two versions hold the very same chain (or both none).
-fn same_chain(a: &Option<Arc<Chain>>, b: &Option<Arc<Chain>>) -> bool {
-    match (a, b) {
-        (Some(a), Some(b)) => Arc::ptr_eq(a, b),
-        (None, None) => true,
-        _ => false,
-    }
-}
-
-/// Keeps the first `max_versions` of `versions` (most recent first)
-/// whose chain is one of the first `max_chains` distinct chains in that
-/// order, and returns the others.
-fn trim_history(versions: &mut Vec<Entry>, max_versions: usize, max_chains: usize) -> Vec<Entry> {
-    let mut chains: Vec<Option<Arc<Chain>>> = Vec::new();
-    let (mut kept, mut dropped) = (Vec::new(), Vec::new());
-    for entry in std::mem::take(versions) {
-        let known = chains.iter().any(|c| same_chain(c, &entry.chain));
-        if kept.len() < max_versions && (known || chains.len() < max_chains) {
-            if !known {
-                chains.push(entry.chain.clone());
-            }
-            kept.push(entry);
-        } else {
-            dropped.push(entry);
-        }
-    }
-    *versions = kept;
-    dropped
-}
+/// Versions a session keeps per memo key: the newest and the one it
+/// replaced, most recently used first. Undoing the last edit (the common
+/// undo of an edit-rebuild loop) re-hits the version cached before it; a
+/// second undo misses, which costs a main-file revert only a resumed body
+/// parse. Each [`ParseCache`] key and verify's wrappers memo follow it.
+pub const HISTORY: usize = 2;
 
 /// A per-TU parse cache keyed by `(main path, defines)` and validated
-/// against file content hashes. Each key retains up to
-/// [`VERSIONS_PER_KEY`] recent parses of at most [`CHAINS_PER_KEY`]
-/// chains, so reverting an edit re-hits the version cached before the
-/// edit.
+/// against file content hashes. Each key retains its [`HISTORY`] most
+/// recently used parses, so reverting an edit re-hits the version cached
+/// before the edit.
 ///
 /// The cache is internally synchronized: [`ParseCache::parse`] takes
 /// `&self`, so one cache (behind an `Arc`) serves concurrent per-TU
@@ -524,12 +489,12 @@ impl ParseCache {
         m.part(Self::PART_META)?.reader().get_varint().ok()
     }
 
-    /// Evicts the least recently used version of `(path, defines)` when
-    /// its history is full, and every version whose chain is not the most
-    /// recent version's, so that a parse about to miss on it evicts
-    /// nothing whatever chain it resolves to. Call it before scheduling
-    /// the parse (a session does, in its warm pre-pass), so the old AST
-    /// is freed while no other parse runs.
+    /// Evicts every version of `(path, defines)` but the newest, so that
+    /// a parse about to miss on it evicts nothing: its insert keeps the new
+    /// version and the one it replaced. The key is never emptied, so the
+    /// miss still reports [`CacheLookup::Invalidated`]. Call it before
+    /// scheduling the parse (a session does, in its warm pre-pass), so the
+    /// old AST is freed while no other parse runs.
     pub fn make_room(&self, defines: &[(String, String)], path: &str) {
         let key = (path.to_string(), hash::hash_defines(defines));
         let evicted: Vec<Entry> = {
@@ -537,7 +502,8 @@ impl ParseCache {
             let Some(versions) = entries.get_mut(&key) else {
                 return;
             };
-            let evicted = trim_history(versions, VERSIONS_PER_KEY - 1, CHAINS_PER_KEY - 1);
+            // A key's history is never empty.
+            let evicted: Vec<Entry> = versions.drain(1..).collect();
             evicted.iter().for_each(|e| self.retire(e));
             evicted
         };
@@ -717,7 +683,7 @@ impl ParseCache {
             };
             self.admit(&entry);
             versions.insert(0, entry);
-            replaced.extend(trim_history(versions, VERSIONS_PER_KEY, CHAINS_PER_KEY));
+            replaced.extend(versions.drain(HISTORY.min(versions.len())..));
             replaced.iter().for_each(|e| self.retire(e));
             let spilled = match self.effective_budget() {
                 Some(budget) => self.enforce_budget(&mut entries, budget, stamp),
@@ -858,57 +824,33 @@ mod tests {
     fn version_history_is_bounded() {
         let mut v = vfs();
         let cache = ParseCache::new();
-        // Main-file edits share one chain: the history holds the last
-        // VERSIONS_PER_KEY of them.
-        for i in 0..10 {
-            v.apply_edit("main.cpp", format!("#include \"lib.hpp\"\nint y{i};\n"))
-                .unwrap();
+        let main = |i: usize| format!("#include \"lib.hpp\"\nint y{i};\n");
+        let lib = |i: usize| format!("#pragma once\nint v{i};\n");
+        // Main-file and header edits alike: the key holds the newest
+        // version and the one it replaced.
+        for i in 0..6 {
+            if i % 2 == 0 {
+                v.apply_edit("main.cpp", main(i)).unwrap();
+            } else {
+                v.apply_edit("lib.hpp", lib(i)).unwrap();
+            }
             cache.parse(&v, &[], "main.cpp").unwrap();
         }
         assert_eq!(cache.len(), 1);
-        assert_eq!(versions(&cache), VERSIONS_PER_KEY);
-        // Each header edit brings a chain of its own: the history holds
-        // the last CHAINS_PER_KEY of them.
-        for i in 0..10 {
-            v.apply_edit("lib.hpp", format!("#pragma once\nint v{i};\n"))
-                .unwrap();
-            cache.parse(&v, &[], "main.cpp").unwrap();
-        }
-        assert_eq!(cache.len(), 1);
-        assert_eq!(versions(&cache), CHAINS_PER_KEY);
-        // The most recent content is still a hit...
+        assert_eq!(versions(&cache), HISTORY);
+        // Re-caching identical content does not duplicate it.
         assert!(cache.parse(&v, &[], "main.cpp").unwrap().lookup.is_hit());
-        // ...and re-caching identical content does not duplicate it.
-        assert_eq!(versions(&cache), CHAINS_PER_KEY);
-        // Reverting the last header edit re-hits the version it replaced.
-        v.apply_edit("lib.hpp", "#pragma once\nint v8;\n").unwrap();
+        assert_eq!(versions(&cache), HISTORY);
+        // A depth-1 revert (undoing the header edit) hits...
+        v.apply_edit("lib.hpp", lib(3)).unwrap();
         assert!(cache.parse(&v, &[], "main.cpp").unwrap().lookup.is_hit());
-    }
-
-    #[test]
-    fn make_room_keeps_only_the_newest_versions_chain() {
-        let mut v = vfs();
-        let cache = ParseCache::new();
-        let old = Arc::downgrade(&cache.parse(&v, &[], "main.cpp").unwrap().chain.unwrap());
-        v.apply_edit("main.cpp", "#include \"lib.hpp\"\nint y2;\n")
-            .unwrap();
-        cache.parse(&v, &[], "main.cpp").unwrap();
-        v.apply_edit("lib.hpp", "#pragma once\nint edited;\n")
-            .unwrap();
-        let new = cache.parse(&v, &[], "main.cpp").unwrap().chain.unwrap();
-        assert_eq!(versions(&cache), 3);
-        v.apply_edit("main.cpp", "#include \"lib.hpp\"\nint y3;\n")
-            .unwrap();
-        cache.make_room(&[], "main.cpp");
-        // The two versions of the replaced header are gone, their chain
-        // with them; the newest version stays, whatever the miss brings.
-        assert_eq!(versions(&cache), 1);
-        assert!(old.upgrade().is_none(), "the old chain is freed");
-        assert!(Arc::ptr_eq(
-            &cache.parse(&v, &[], "main.cpp").unwrap().chain.unwrap(),
-            &new
-        ));
-        assert_eq!(versions(&cache), 2);
+        // ...a depth-2 revert (undoing the main-file edit before it) misses.
+        v.apply_edit("main.cpp", main(2)).unwrap();
+        assert_eq!(
+            cache.parse(&v, &[], "main.cpp").unwrap().lookup,
+            CacheLookup::Invalidated
+        );
+        assert_eq!(versions(&cache), HISTORY);
     }
 
     #[test]
@@ -1060,31 +1002,35 @@ mod tests {
     fn make_room_frees_the_version_the_next_miss_would_evict() {
         let mut v = vfs();
         let cache = ParseCache::new();
-        let text = |i: usize| format!("#include \"lib.hpp\"\nint y{i};\n");
-        let mut versions = Vec::new();
-        for i in 0..VERSIONS_PER_KEY {
-            v.apply_edit("main.cpp", text(i)).unwrap();
-            versions.push(Arc::downgrade(
-                &cache.parse(&v, &[], "main.cpp").unwrap().tu,
-            ));
-        }
-        v.apply_edit("main.cpp", text(VERSIONS_PER_KEY)).unwrap();
+        let old = cache.parse(&v, &[], "main.cpp").unwrap();
+        let old_tu = Arc::downgrade(&old.tu);
+        let old_chain = Arc::downgrade(old.chain.as_ref().expect("a chain"));
+        drop(old);
+        v.apply_edit("lib.hpp", "#pragma once\nint edited;\n")
+            .unwrap();
+        let new = cache.parse(&v, &[], "main.cpp").unwrap();
+        assert_eq!(versions(&cache), HISTORY);
+        v.apply_edit("main.cpp", "#include \"lib.hpp\"\nint y2;\n")
+            .unwrap();
         cache.make_room(&[], "main.cpp");
-        assert!(versions[0].upgrade().is_none(), "oldest version freed");
-        assert!(versions[1..].iter().all(|w| w.upgrade().is_some()));
+        // The replaced version is gone, its header's chain with it; the
+        // newest version stays.
+        assert_eq!(versions(&cache), 1);
+        assert!(old_tu.upgrade().is_none(), "the old AST is freed");
+        assert!(old_chain.upgrade().is_none(), "the old chain is freed");
         let resident = cache.resident_bytes();
-        cache.parse(&v, &[], "main.cpp").unwrap();
+        let miss = cache.parse(&v, &[], "main.cpp").unwrap();
+        assert_eq!(miss.lookup, CacheLookup::Invalidated);
         assert!(
             cache.resident_bytes() > resident,
             "the miss evicted nothing"
         );
-        for i in 1..=VERSIONS_PER_KEY {
-            v.apply_edit("main.cpp", text(i)).unwrap();
-            assert_eq!(
-                cache.parse(&v, &[], "main.cpp").unwrap().lookup,
-                CacheLookup::Hit
-            );
-        }
+        // It reused the newest version's chain, and undoing it hits.
+        assert!(Arc::ptr_eq(&miss.chain.unwrap(), &new.chain.unwrap()));
+        assert_eq!(versions(&cache), HISTORY);
+        v.apply_edit("main.cpp", "#include \"lib.hpp\"\nint y;\n")
+            .unwrap();
+        assert!(cache.parse(&v, &[], "main.cpp").unwrap().lookup.is_hit());
     }
 
     #[test]

@@ -79,26 +79,6 @@ impl Frontend {
     pub fn parse_translation_unit(&self, main_path: &str) -> Result<ParsedTu> {
         parse_scratch(&self.vfs, &self.defines, main_path)
     }
-
-    /// Preprocesses and parses `main_path` through `pool`:
-    /// [`parse_with`] over this frontend's files and defines.
-    ///
-    /// # Errors
-    ///
-    /// Propagates preprocessing and parsing failures.
-    pub fn parse_with(&self, main_path: &str, pool: &FragmentPool) -> Result<PooledParse> {
-        parse_with(&self.vfs, &self.defines, main_path, pool)
-    }
-
-    /// Checks that `main_path` parses, through `pool`: [`check_with`]
-    /// over this frontend's files and defines.
-    ///
-    /// # Errors
-    ///
-    /// Propagates preprocessing and parsing failures.
-    pub fn check_with(&self, main_path: &str, pool: &FragmentPool) -> Result<PpStats> {
-        check_with(&self.vfs, &self.defines, main_path, pool)
-    }
 }
 
 /// A parse through a [`FragmentPool`].

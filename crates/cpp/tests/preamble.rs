@@ -27,6 +27,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 
 use yalla_corpus::gen::DetRng;
 use yalla_corpus::{all_subjects, bump_body_literal};
+use yalla_cpp::frontend::{check_with, parse_with};
 use yalla_cpp::vfs::Vfs;
 use yalla_cpp::{Chain, Fragment, FragmentPool, Frontend, ParsedTu, Result};
 use yalla_fuzz::grammar::ProjectModel;
@@ -76,7 +77,7 @@ fn pooled(
     main: &str,
     pool: &FragmentPool,
 ) -> (Result<ParsedTu>, Option<Chain>) {
-    match Frontend::with_defines(vfs.clone(), defines).parse_with(main, pool) {
+    match parse_with(vfs, defines, main, pool) {
         Ok(parsed) => (Ok(parsed.tu), parsed.chain),
         Err(e) => (Err(e), None),
     }
@@ -98,7 +99,7 @@ fn assert_check_same(
     what: &str,
 ) {
     let built = fragments_built();
-    let checked = Frontend::with_defines(vfs.clone(), defines).check_with(main, pool);
+    let checked = check_with(vfs, defines, main, pool);
     assert_eq!(
         fragments_built(),
         built,

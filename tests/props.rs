@@ -173,29 +173,43 @@ proptest! {
     }
 
     /// Edit-then-revert restores the original content hash and re-hits
-    /// the `ParseCache` — reverting an edit must not cost a reparse.
+    /// the `ParseCache` — reverting an edit must not cost a reparse —
+    /// whether the edit is to the main file or to the header it includes,
+    /// and whether or not `make_room` ran before the edited parse (as a
+    /// session's warm pre-pass runs it).
     #[test]
     fn edit_then_revert_rehits_parse_cache(marker in "[a-z]{1,8}") {
         use yalla::cpp::cache::{CacheLookup, ParseCache};
-        let original = "#include \"lib.hpp\"\nint keep;\n".to_string();
-        let mut vfs = Vfs::new();
-        vfs.add_file("lib.hpp", "#pragma once\nnamespace l { class C; }\n");
-        vfs.add_file("main.cpp", original.clone());
-        let cache = ParseCache::new();
+        let main = "#include \"lib.hpp\"\nint keep;\n".to_string();
+        let lib = "#pragma once\nnamespace l { class C; }\n".to_string();
+        for (path, original, make_room) in [
+            ("main.cpp", &main, false),
+            ("lib.hpp", &lib, false),
+            ("main.cpp", &main, true),
+            ("lib.hpp", &lib, true),
+        ] {
+            let mut vfs = Vfs::new();
+            vfs.add_file("lib.hpp", lib.clone());
+            vfs.add_file("main.cpp", main.clone());
+            let cache = ParseCache::new();
 
-        let cold = cache.parse(&vfs, &[], "main.cpp").unwrap();
-        prop_assert_eq!(cold.lookup, CacheLookup::Miss);
-        let hash_before = vfs.hash_of("main.cpp").unwrap();
+            let cold = cache.parse(&vfs, &[], "main.cpp").unwrap();
+            prop_assert_eq!(cold.lookup, CacheLookup::Miss);
+            let hash_before = vfs.hash_of(path).unwrap();
 
-        vfs.apply_edit("main.cpp", format!("{original}int ed_{marker};\n")).unwrap();
-        let edited = cache.parse(&vfs, &[], "main.cpp").unwrap();
-        prop_assert_eq!(edited.lookup, CacheLookup::Invalidated);
-        prop_assert_ne!(vfs.hash_of("main.cpp").unwrap(), hash_before);
+            vfs.apply_edit(path, format!("{original}int ed_{marker};\n")).unwrap();
+            if make_room {
+                cache.make_room(&[], "main.cpp");
+            }
+            let edited = cache.parse(&vfs, &[], "main.cpp").unwrap();
+            prop_assert_eq!(edited.lookup, CacheLookup::Invalidated);
+            prop_assert_ne!(vfs.hash_of(path).unwrap(), hash_before);
 
-        vfs.apply_edit("main.cpp", original).unwrap();
-        prop_assert_eq!(vfs.hash_of("main.cpp").unwrap(), hash_before);
-        let reverted = cache.parse(&vfs, &[], "main.cpp").unwrap();
-        prop_assert_eq!(reverted.lookup, CacheLookup::Hit);
-        prop_assert_eq!(reverted.closure_hash, cold.closure_hash);
+            vfs.apply_edit(path, original.clone()).unwrap();
+            prop_assert_eq!(vfs.hash_of(path).unwrap(), hash_before);
+            let reverted = cache.parse(&vfs, &[], "main.cpp").unwrap();
+            prop_assert_eq!(reverted.lookup, CacheLookup::Hit);
+            prop_assert_eq!(reverted.closure_hash, cold.closure_hash);
+        }
     }
 }

@@ -77,32 +77,70 @@ fn noop_rerun_is_fully_cached_with_zero_reparses() {
     assert_eq!(cold.result.rewritten_sources, warm.result.rewritten_sources);
 }
 
+/// One revert case: an edit to a warm session, undone before the
+/// measured rerun.
+struct RevertCase {
+    name: &'static str,
+    path: &'static str,
+    edit: fn(&mut Session),
+}
+
 #[test]
 fn a_reverted_edit_rehits_verifys_substituted_tu_parse() {
     let _guard = COUNTER_LOCK.lock().unwrap();
+    let cases = [
+        RevertCase {
+            name: "main-source append",
+            path: "kernel.cpp",
+            edit: |s| append(s, "kernel.cpp", "int yalla_probe = 1;"),
+        },
+        RevertCase {
+            name: "comment on a header inside the main block",
+            path: "functor.hpp",
+            edit: |s| append(s, "functor.hpp", "// tweak"),
+        },
+        RevertCase {
+            // The lambda's body lives in the lightweight header, so the
+            // edit changes the wrappers TU and its check runs again.
+            name: "lambda body",
+            path: "kernel.cpp",
+            edit: |s| replace(s, "kernel.cpp", "+= y;", "+= y + 1;"),
+        },
+    ];
+    for case in cases {
+        let name = case.name;
+        // No store: a disk bundle must not answer the revert.
+        let mut session = Session::with_store(kokkos_options(), kokkos_vfs(), None);
+        session.rerun().unwrap();
+        let file = session.vfs().lookup(case.path).expect("fixture file");
+        let original = session.vfs().text(file).to_string();
+        (case.edit)(&mut session);
+        assert!(
+            !session.rerun().unwrap().outcome(Stage::Verify).is_hit(),
+            "{name}"
+        );
+        session.apply_edit(case.path, original).unwrap();
 
-    // No store: a disk bundle must not answer the revert.
-    let mut session = Session::with_store(kokkos_options(), kokkos_vfs(), None);
-    session.rerun().unwrap();
-    let kernel = session.vfs().lookup("kernel.cpp").expect("fixture file");
-    let original = session.vfs().text(kernel).to_string();
-    append(&mut session, "kernel.cpp", "int yalla_probe = 1;");
-    assert!(!session.rerun().unwrap().outcome(Stage::Verify).is_hit());
-    session.apply_edit("kernel.cpp", original).unwrap();
-
-    let lines_before = counter(names::LINES_PREPROCESSED);
-    let revert = session.rerun().unwrap();
-    assert_eq!(revert.outcome(Stage::Parse), CacheLookup::Hit);
-    // The rewritten source moved back, so verify runs again; the wrappers
-    // check is reused and the substituted TU is the version cached
-    // before the edit, so nothing is preprocessed.
-    assert!(!revert.outcome(Stage::Verify).is_hit());
-    assert!(revert.result.report.verification.passed());
-    assert_eq!(
-        counter(names::LINES_PREPROCESSED),
-        lines_before,
-        "a revert must re-hit verify's parse of the substituted TU"
-    );
+        let lines_before = counter(names::LINES_PREPROCESSED);
+        let reused_before = counter(names::VERIFY_WRAPPERS_REUSED);
+        let revert = session.rerun().unwrap();
+        assert_eq!(revert.outcome(Stage::Parse), CacheLookup::Hit, "{name}");
+        // The rewritten source moved back, so verify runs again; the
+        // wrappers check is reused and the substituted TU is the version
+        // cached before the edit, so nothing is preprocessed.
+        assert!(!revert.outcome(Stage::Verify).is_hit(), "{name}");
+        assert!(revert.result.report.verification.passed(), "{name}");
+        assert_eq!(
+            counter(names::LINES_PREPROCESSED),
+            lines_before,
+            "{name}: a revert must re-hit both verify parses"
+        );
+        assert_eq!(
+            counter(names::VERIFY_WRAPPERS_REUSED) - reused_before,
+            1,
+            "{name}: the revert reuses the wrappers check"
+        );
+    }
 }
 
 /// The Kokkos fixture with a user header (`util.hpp`) that the main TU

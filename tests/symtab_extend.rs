@@ -27,7 +27,8 @@ use std::sync::Arc;
 
 use yalla::analysis::symbols::{SymbolInfo, SymbolKind, SymbolTable};
 use yalla::corpus::all_subjects;
-use yalla::cpp::{FragmentPool, Frontend};
+use yalla::cpp::frontend::parse_with;
+use yalla::cpp::FragmentPool;
 use yalla::fuzz::grammar::ProjectModel;
 use yalla::fuzz::mega::{MegaConfig, MegaProject};
 use yalla::Vfs;
@@ -177,11 +178,8 @@ fn text_of(vfs: &Vfs, path: &str) -> String {
 /// checked (none when the main source has no include chain).
 fn check(name: &str, vfs: &Vfs, defines: &Defines, main: &str) -> Vec<&'static str> {
     let pool = FragmentPool::new();
-    let parse = |vfs: &Vfs| {
-        Frontend::with_defines(vfs.clone(), defines)
-            .parse_with(main, &pool)
-            .unwrap_or_else(|e| panic!("{name}: {e}"))
-    };
+    let parse =
+        |vfs: &Vfs| parse_with(vfs, defines, main, &pool).unwrap_or_else(|e| panic!("{name}: {e}"));
     let parsed = parse(vfs);
     let (tu, Some(chain)) = (parsed.tu, parsed.chain) else {
         return Vec::new();

@@ -19,15 +19,17 @@
 //! merge), and a shared-header edit must reuse at least one include
 //! fragment (every TU's private chain, and the facade's rebuild in all
 //! but the first TU), or the bench fails: this is the edit-proportional
-//! contract, gated in CI by `--smoke`.
+//! contract, gated in CI by `--smoke`. At one worker a shared-header
+//! edit must also cost less wall time than the cold run (`edit-shared-w1`
+//! below `cold-w1`; about half of it when this gate was set): the
+//! fragments it reuses have to pay for themselves end to end.
 //!
-//! Parse *scaling* is reported two ways: the measured cold wall ratio,
-//! and a work/critical-path model `total_parse / max(longest_parse,
-//! total_parse / workers)` — the measured ratio collapses to ~1x on
-//! single-core hosts (CI containers), so the model records what the DAG
-//! exposes while `host_cpus` records what the host could exploit. The
-//! acceptance bound (>=2x modeled parse speedup at 8 workers on
-//! mega-4k) checks the *shape* of the fan-out, not the host.
+//! Parse scaling is recorded, not gated: each cold record carries the
+//! measured wall, the summed parse work, the longest single-TU parse and
+//! `host_cpus`. Summed parse work counts the time a root waits for
+//! another root's build of a shared fragment, so no model over it can
+//! stand in for a measured speedup, and on single-core hosts (CI
+//! containers) the measured one is ~1x by construction.
 //!
 //! Writes `results/BENCH_mega.json`. Flags: `--smoke` (mega-1k only,
 //! workers 1/2, for the CI 120 s budget), `--preset NAME`, `--slo
@@ -121,14 +123,8 @@ fn warm_edits(project: &MegaProject, depth: usize) -> [(&'static str, String, St
 }
 
 /// One preset's full sweep: cold+warm at each worker count, then the
-/// tiny-budget eviction pass. Returns the records plus the mega-4k
-/// modeled 8-worker parse speedup (for the acceptance bound).
-fn run_preset(
-    preset: &str,
-    workers: &[usize],
-    records: &mut Vec<RunRecord>,
-    failures: &mut usize,
-) -> Option<f64> {
+/// tiny-budget eviction pass.
+fn run_preset(preset: &str, workers: &[usize], records: &mut Vec<RunRecord>, failures: &mut usize) {
     let cfg = MegaConfig::preset(preset).expect("known preset");
     let project = MegaProject::generate(&cfg);
     let (vfs, options) = project.render();
@@ -142,7 +138,6 @@ fn run_preset(
     );
 
     let mut baseline_hash: Option<u64> = None;
-    let mut speedup_8w = None;
     for &w in workers {
         let exec = Executor::new(w);
         cache::reset_peak_resident();
@@ -180,16 +175,9 @@ fn run_preset(
 
         let parse_us = us(cold.run.result.timings.parse);
         let longest_us = us(cold.run.parse_longest);
-        // Work/critical-path model: W workers can't beat the longest
-        // single TU parse, nor do better than an even split of the work.
-        let model_us = longest_us.max(parse_us / w as f64).max(1.0);
-        let model_speedup = parse_us / model_us;
-        if preset == "mega-4k" && w == 8 {
-            speedup_8w = Some(model_speedup);
-        }
         println!(
             "  w{w}: cold {:>9.0} us  warm {:>7.0} us  parse {:>9.0} us \
-             (longest {:>8.0} us, modeled {model_speedup:.2}x)  peak {:>6} KiB",
+             (longest {:>8.0} us)  peak {:>6} KiB",
             cold.wall_us,
             warm.wall_us,
             parse_us,
@@ -203,7 +191,6 @@ fn run_preset(
                 ("wall".to_string(), cold.wall_us),
                 ("parse".to_string(), parse_us),
                 ("parse_longest".to_string(), longest_us),
-                ("parse_model".to_string(), model_us),
                 ("analyze".to_string(), us(cold.run.result.timings.analyze)),
                 ("peak_resident_bytes".to_string(), peak as f64),
                 ("host_cpus".to_string(), host_cpus as f64),
@@ -239,6 +226,14 @@ fn run_preset(
             }
             if config == "edit-shared" && reused == 0 {
                 eprintln!("{preset} w{w}: a shared-header edit reused no include fragment");
+                *failures += 1;
+            }
+            if config == "edit-shared" && w == 1 && edit.wall_us >= cold.wall_us {
+                eprintln!(
+                    "{preset} w1: a shared-header edit took {:.0} us, no less than the cold \
+                     run's {:.0} us",
+                    edit.wall_us, cold.wall_us
+                );
                 *failures += 1;
             }
             println!(
@@ -309,7 +304,6 @@ fn run_preset(
             *failures += 1;
         }
     }
-    speedup_8w
 }
 
 fn session_for(options: &Options, vfs: &Vfs) -> Session {
@@ -380,20 +374,8 @@ fn main() {
 
     let mut records = Vec::new();
     let mut failures = 0usize;
-    let mut mega4k_speedup = None;
     for preset in &presets {
-        if let Some(s) = run_preset(preset, workers, &mut records, &mut failures) {
-            mega4k_speedup = Some(s);
-        }
-    }
-
-    if let Some(speedup) = mega4k_speedup {
-        if speedup < 2.0 {
-            eprintln!("mega-4k modeled parse speedup at 8 workers {speedup:.2}x < 2x bound");
-            failures += 1;
-        } else {
-            println!("mega-4k modeled parse speedup at 8 workers: {speedup:.2}x (bound 2x)");
-        }
+        run_preset(preset, workers, &mut records, &mut failures);
     }
 
     if let Some(path) = slo_path {

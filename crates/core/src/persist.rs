@@ -4,21 +4,28 @@
 //! that are impractical to serialize and cheap to avoid serializing:
 //! what a *restarted* process actually needs is not the intermediate
 //! state but the ability to prove "nothing changed" and hand back the
-//! previous answer. So the disk tier persists exactly three payloads:
+//! previous answer. So the disk tier persists two payloads, both written
+//! by this module:
 //!
-//! 1. **Parse manifests** (`parse` namespace, written by
-//!    [`yalla_cpp::cache::ParseCache`]): the dependency closure with
-//!    content hashes. Validating one recovers the closure hash without
-//!    preprocessing anything.
-//! 2. **Run bundles** (`run` namespace, this module): every final
-//!    artifact of one pipeline run — lightweight header, wrappers file,
-//!    rewritten sources, and the report's counts/diagnostics/stats —
-//!    keyed by the closure hash plus options plus every source's content
-//!    hash. A validated manifest + a bundle hit is a *whole-run* disk
-//!    hit: all six stages report `hit`, nothing is recomputed.
-//! 3. **Project records** (`serve` namespace, this module): what `yalla
-//!    serve` needs to rebuild a warm shard after a crash — name, options,
-//!    and the current file tree.
+//! 1. **Run bundles** (`run` namespace): every final artifact of one
+//!    pipeline run — lightweight header, wrappers file, rewritten
+//!    sources, and the report's counts/diagnostics/stats — plus the
+//!    run's *depfile*, the union of every TU root's include closure with
+//!    each file's content hash. A bundle is keyed on the options and the
+//!    path and content hash of each root and each source
+//!    (`run_key_of`), and a lookup checks every depfile row against the
+//!    current tree before it decodes anything (`lookup_run`): a hit is
+//!    a *whole-run* disk hit, all six stages report `hit` and nothing is
+//!    recomputed. Like a Clang module file, the bundle carries the list
+//!    of its inputs and checks it when it loads, so no second record has
+//!    to agree with it.
+//! 2. **Project records** (`serve` namespace): what `yalla serve` needs
+//!    to rebuild a warm shard after a crash — name, options, and the
+//!    current file tree.
+//!
+//! Each key holds one bundle, the last one written: an edit to a header
+//! (which leaves the key unchanged) replaces the bundle of the tree
+//! before it.
 //!
 //! The tradeoff is deliberate: a fully-warm restart costs zero
 //! recomputation, while a restart followed by an edit recomputes the
@@ -44,10 +51,10 @@ use crate::report::{Report, TuStats, Verification};
 /// bundles degrade to misses (the record decoder treats a short or
 /// reshaped payload as corrupt, but an explicit version keeps additive
 /// changes honest too).
-const BUNDLE_VERSION: u8 = 2;
+const BUNDLE_VERSION: u8 = 3;
 
 /// Module kind byte of run-bundle payloads (DESIGN.md §13).
-pub(crate) const MODULE_KIND_RUN: u8 = 2;
+const MODULE_KIND_RUN: u8 = 2;
 /// Module kind byte of serve project records.
 pub(crate) const MODULE_KIND_PROJECT: u8 = 3;
 
@@ -63,15 +70,18 @@ const PART_DIAGS: u8 = 4;
 /// Fixed 8-byte rows: `(path StrRef, text StrRef)` per project file
 /// (project records only).
 const PART_FILES: u8 = 5;
+/// Fixed 12-byte rows: `(path StrRef, content hash u64)` per file of the
+/// run's depfile (run bundles only).
+const PART_DEPS: u8 = 6;
+const DEP_ROW_SIZE: usize = 12;
 
-/// Key of the whole-run artifact bundle: the parse closure (which covers
-/// the header, the main source, and everything transitively included)
-/// plus every option that shapes the output plus every source file's
-/// content hash (sources outside the main TU's closure still get
-/// rewritten, so their text is an input too).
-pub(crate) fn run_key_of(closure_hash: u64, opts: &Options, vfs: &Vfs) -> u64 {
+/// Key of the whole-run artifact bundle: every option that shapes the
+/// output plus the path and content hash of each TU root and each source
+/// (sources outside every root's closure still get rewritten, so their
+/// text is an input too). The headers the roots include are not in the
+/// key; the bundle's depfile covers them.
+pub(crate) fn run_key_of(opts: &Options, vfs: &Vfs) -> u64 {
     let mut h = Fnv64::new();
-    h.write_u64(closure_hash);
     h.write_str(&opts.header);
     h.write_str(&opts.lightweight_name);
     h.write_str(&opts.wrappers_name);
@@ -83,13 +93,9 @@ pub(crate) fn run_key_of(closure_hash: u64, opts: &Options, vfs: &Vfs) -> u64 {
         h.write_str(e);
     }
     h.write_u64(u64::from(opts.verify));
-    for s in &opts.sources {
+    for s in opts.sources.iter().chain(&opts.tu_roots) {
         h.write_str(s);
         h.write_u64(vfs.hash_of(s).unwrap_or(0));
-    }
-    // Empty for classic single-TU runs, so their keys are unchanged.
-    for r in &opts.tu_roots {
-        h.write_str(r);
     }
     h.finish()
 }
@@ -113,12 +119,13 @@ fn diag_kind(tag: u8) -> Option<DiagnosticKind> {
     })
 }
 
-/// Encodes a run's final artifacts as a module payload (kind
-/// [`MODULE_KIND_RUN`]), or `None` when the run is not persistable
-/// (verification violations carry spans). Paths, texts, and messages are
-/// interned into the module's string table; per-source and per-diagnostic
+/// Encodes a run's final artifacts and its depfile (`(path, content
+/// hash)` of every file its TU roots read) as a run-bundle module
+/// payload, or `None` when the run is not persistable (verification
+/// violations carry spans). Paths, texts, and messages are interned into
+/// the module's string table; per-source, per-diagnostic and per-file
 /// data are fixed-layout rows holding `StrRef`s.
-pub fn encode_run(result: &SubstitutionResult) -> Option<Vec<u8>> {
+pub fn encode_run(result: &SubstitutionResult, deps: &[(String, u64)]) -> Option<Vec<u8>> {
     if !result.report.verification.violations.is_empty() {
         return None;
     }
@@ -176,20 +183,50 @@ pub fn encode_run(result: &SubstitutionResult) -> Option<Vec<u8>> {
     }
     m.push(diags);
 
+    let mut rows = PartitionBuilder::fixed(PART_DEPS, DEP_ROW_SIZE);
+    for (path, hash) in deps {
+        let path = m.intern(path);
+        let row = rows.row();
+        row.put_u32(path.0);
+        row.put_u64(*hash);
+    }
+    m.push(rows);
+
     Some(m.finish())
 }
 
-/// Decodes a bundle payload back into a [`SubstitutionResult`]. Timings
-/// are zero (nothing ran) and diagnostic spans are gone (not persisted);
-/// everything else is byte-identical to the run that was stored. The
-/// module is validated once; every string is read in place and copied
-/// exactly once into its owned slot in the result.
+/// Decodes a bundle payload back into a [`SubstitutionResult`], without
+/// checking its depfile. Timings are zero (nothing ran) and diagnostic
+/// spans are gone (not persisted); everything else is byte-identical to
+/// the run that was stored.
 pub fn decode_run(bytes: &[u8]) -> Option<SubstitutionResult> {
-    let m = ModuleReader::parse(bytes).ok()?;
-    if m.kind() != MODULE_KIND_RUN {
-        return None;
-    }
+    decode_module(&run_module(bytes)?)
+}
 
+/// Decodes a bundle payload if it still describes `vfs`: every depfile
+/// row is checked against the file's current content hash, straight off
+/// the payload and before anything is decoded, and a file that changed
+/// or vanished makes the lookup a miss.
+pub(crate) fn lookup_run(bytes: &[u8], vfs: &Vfs) -> Option<SubstitutionResult> {
+    let m = run_module(bytes)?;
+    for row in m.part(PART_DEPS)?.iter() {
+        let dep = m.get(row.str_at(0).ok()?).ok()?;
+        if vfs.hash_of(dep) != Some(row.u64_at(4).ok()?) {
+            return None;
+        }
+    }
+    decode_module(&m)
+}
+
+/// The payload as a run-bundle module, validated once.
+fn run_module(bytes: &[u8]) -> Option<ModuleReader<'_>> {
+    let m = ModuleReader::parse(bytes).ok()?;
+    (m.kind() == MODULE_KIND_RUN).then_some(m)
+}
+
+/// The artifacts of a validated run-bundle module; every string is read
+/// in place and copied exactly once into its owned slot in the result.
+fn decode_module(m: &ModuleReader<'_>) -> Option<SubstitutionResult> {
     let meta = m.part(PART_META)?;
     let mut r = meta.reader();
     if r.get_u8().ok()? != BUNDLE_VERSION {
@@ -442,10 +479,14 @@ mod tests {
         }
     }
 
+    fn sample_deps() -> Vec<(String, u64)> {
+        vec![("main.cpp".into(), 1), ("lib.hpp".into(), 2)]
+    }
+
     #[test]
     fn run_bundle_roundtrips() {
         let result = sample_result();
-        let bytes = encode_run(&result).expect("persistable");
+        let bytes = encode_run(&result, &sample_deps()).expect("persistable");
         let back = decode_run(&bytes).expect("decodes");
         assert_eq!(back.lightweight_header, result.lightweight_header);
         assert_eq!(back.wrappers_file, result.wrappers_file);
@@ -477,12 +518,12 @@ mod tests {
                 },
             },
         );
-        assert!(encode_run(&result).is_none());
+        assert!(encode_run(&result, &sample_deps()).is_none());
     }
 
     #[test]
     fn truncated_bundles_decode_to_none() {
-        let bytes = encode_run(&sample_result()).expect("persistable");
+        let bytes = encode_run(&sample_result(), &sample_deps()).expect("persistable");
         for cut in [0, 1, 5, bytes.len() / 2, bytes.len() - 1] {
             assert!(decode_run(&bytes[..cut]).is_none(), "cut at {cut}");
         }
@@ -513,19 +554,53 @@ mod tests {
         let mut vfs = Vfs::new();
         vfs.add_file("main.cpp", "int a;\n");
         vfs.add_file("b.cpp", "int b;\n");
+        vfs.add_file("lib.hpp", "int l;\n");
         let opts = Options {
             header: "lib.hpp".into(),
             sources: vec!["main.cpp".into(), "b.cpp".into()],
             ..Options::default()
         };
-        let base = run_key_of(7, &opts, &vfs);
-        assert_eq!(run_key_of(7, &opts, &vfs), base, "deterministic");
-        assert_ne!(run_key_of(8, &opts, &vfs), base, "closure hash");
+        let base = run_key_of(&opts, &vfs);
+        assert_eq!(run_key_of(&opts, &vfs), base, "deterministic");
         let mut other_opts = opts.clone();
         other_opts.verify = false;
-        assert_ne!(run_key_of(7, &other_opts, &vfs), base, "options");
+        assert_ne!(run_key_of(&other_opts, &vfs), base, "options");
         let mut edited = vfs.clone();
         edited.apply_edit("b.cpp", "int b2;\n").unwrap();
-        assert_ne!(run_key_of(7, &opts, &edited), base, "source content");
+        assert_ne!(run_key_of(&opts, &edited), base, "source content");
+        // A header edit keeps the key: the bundle's depfile covers it.
+        let mut header = vfs.clone();
+        header.apply_edit("lib.hpp", "int l2;\n").unwrap();
+        assert_eq!(run_key_of(&opts, &header), base, "header content");
+    }
+
+    #[test]
+    fn a_bundle_hits_only_while_its_depfile_matches_the_tree() {
+        let mut vfs = Vfs::new();
+        vfs.add_file("lib.hpp", "namespace l { class C; }\n");
+        vfs.add_file("other.hpp", "int unrelated;\n");
+        vfs.add_file("main.cpp", "#include \"lib.hpp\"\nint y;\n");
+        let deps = yalla_cpp::cache::depfile_of(
+            &vfs,
+            &["main.cpp", "lib.hpp"].map(|p| vfs.lookup(p).expect("file")),
+        );
+        let result = sample_result();
+        let bytes = encode_run(&result, &deps).expect("persistable");
+        let hit = lookup_run(&bytes, &vfs).expect("the tree it describes");
+        assert_eq!(hit.rewritten_sources, result.rewritten_sources);
+
+        // Editing a file in the closure defeats the bundle; editing an
+        // unreached file does not; a closure file that vanished does.
+        let mut edited = vfs.clone();
+        edited
+            .apply_edit("lib.hpp", "namespace l { class X; }\n")
+            .unwrap();
+        assert!(lookup_run(&bytes, &edited).is_none(), "closure edit");
+        let mut unrelated = vfs.clone();
+        unrelated.apply_edit("other.hpp", "int changed;\n").unwrap();
+        assert!(lookup_run(&bytes, &unrelated).is_some(), "unreached edit");
+        let mut gone = Vfs::new();
+        gone.add_file("main.cpp", "#include \"lib.hpp\"\nint y;\n");
+        assert!(lookup_run(&bytes, &gone).is_none(), "vanished header");
     }
 }

@@ -23,14 +23,14 @@
 //! | stage   | key                                                        |
 //! |---------|------------------------------------------------------------|
 //! | parse   | `(main path, defines)` validated against the include closure's content hashes ([`yalla_cpp::cache::ParseCache`]); a miss parses through the session's include-fragment pool ([`yalla_cpp::preamble`]), reusing each `#include` of the main file's leading block whose incoming state and entered files still match |
-//! | └ usage[k] | root `k`'s closure hash + header + sources (secondary roots only) |
+//! | └ `usage[k]` | root `k`'s closure hash + header + sources (secondary roots only) |
 //! | analyze | closure hash + header + sources + `extra_symbols`          |
 //! | └ symbol table | per TU root: the table of its fragment chain's declarations, built once on the first fragment's shared table and owned by the chain ([`yalla_cpp::Chain::table`]), extended with the rest of the TU ([`SymbolTable::extend`]) |
 //! | plan    | usage fingerprint ([`crate::fingerprint`]) + pre-declare diagnostics |
 //! | emit    | plan key                                                   |
 //! | rewrite | per source: file hash + reachable source hashes + plan key |
 //! | verify  | closure hash + emitted artifacts + rewritten source hashes |
-//! | └ user TU parse | the parse rule over the overlaid tree, in the session's second [`ParseCache`] (no store, the same fragment pool) |
+//! | └ user TU parse | the parse rule over the overlaid tree, in the session's second [`ParseCache`] (the same fragment pool) |
 //! | └ wrappers check | wrappers path + defines, validated against the wrappers TU's include closure (the parse-stage depfile rule), for each of the last [`HISTORY`] passing checks; a new check reads the expensive header's fragment from the pool and keeps no declaration |
 //!
 //! A verify miss parses the substituted TU once, for the sources check,
@@ -93,7 +93,7 @@
 //! warm pre-pass ([`ParseCache::make_room`]), while no stage runs.
 //!
 //! Verify's parse of the substituted TU goes through a second
-//! [`ParseCache`], with no store and the same fragment pool: it has the
+//! [`ParseCache`], over the same fragment pool: it has the
 //! parse stage's depfile rule, history and budget, so it reuses the
 //! substituted main source's fragments after a body edit and hits after
 //! a revert. The pool lives and dies with the session.
@@ -210,9 +210,9 @@ pub struct SessionRun {
     /// Source rewrites served from cache.
     pub rewrites_cached: usize,
     /// Longest single-root parse this rerun (zero when every root hit).
-    /// With many `tu_roots` this is the parse stage's critical path: the
-    /// floor any worker count must still pay, which the `mega` bench
-    /// uses to model parse scaling independently of host core count.
+    /// With many `tu_roots` this approximates the parse stage's critical
+    /// path, the floor any worker count must still pay; a root blocked on
+    /// another root's build of a shared include fragment counts the wait.
     pub parse_longest: Duration,
 }
 
@@ -317,9 +317,8 @@ fn refresh<T>(
 }
 
 /// Content address of the whole run's parse inputs, once every root's
-/// closure hash is known: a single root's passes through unchanged (so
-/// existing single-TU disk keys stay valid), multiple roots fold in root
-/// order.
+/// closure hash is known: a single root's passes through unchanged,
+/// multiple roots fold in root order.
 fn combined_closure_hash(hashes: impl Iterator<Item = Option<u64>>) -> Option<u64> {
     let hashes: Vec<u64> = hashes.collect::<Option<_>>()?;
     if let [one] = hashes[..] {
@@ -542,6 +541,18 @@ impl Run {
         Some(h.finish())
     }
 
+    /// The run's depfile, for its bundle on disk: `(path, content hash)`
+    /// of every file a TU root read, in root order, each file once.
+    fn depfile(&self) -> Vec<(String, u64)> {
+        let mut seen = HashSet::new();
+        let files = self
+            .parses
+            .iter()
+            .flat_map(|c| &done(c).tu.stats.files_entered);
+        let files: Vec<FileId> = files.copied().filter(|&f| seen.insert(f)).collect();
+        yalla_cpp::cache::depfile_of(&self.vfs, &files)
+    }
+
     /// The rewritten sources by path, once every rewrite has its artifact.
     fn rewritten(&self) -> Option<BTreeMap<&str, &str>> {
         self.opts
@@ -728,6 +739,10 @@ pub struct Session {
     vfs: Arc<Vfs>,
     slots: Arc<Slots>,
     store: Option<Arc<Store>>,
+    /// `(run key, closure hash)` of the last run bundle this session
+    /// wrote: the tree the record under that key describes, as far as the
+    /// session knows.
+    written: Option<(u64, u64)>,
     reruns: u64,
 }
 
@@ -743,9 +758,9 @@ impl Session {
     /// Creates a session over `vfs` backed by `store` as a second cache
     /// tier (memory → disk → recompute), or purely in-memory when `None`.
     pub fn with_store(options: Options, vfs: Vfs, store: Option<Arc<Store>>) -> Self {
-        let parse = ParseCache::with_store(store.clone());
+        let parse = ParseCache::new();
         let slots = Slots {
-            user_parse: ParseCache::with_store(None).with_pool(Arc::clone(parse.pool())),
+            user_parse: ParseCache::new().with_pool(Arc::clone(parse.pool())),
             parse,
             usages: options
                 .parse_roots()
@@ -761,6 +776,7 @@ impl Session {
             vfs: Arc::new(vfs),
             slots: Arc::new(slots),
             store,
+            written: None,
             reruns: 0,
         }
     }
@@ -977,11 +993,20 @@ impl Session {
         // on-disk store. A bundle hit is a complete answer — every stage
         // records `hit` and nothing is scheduled, which is what makes a
         // fresh process (or a daemon restarted after `kill -9`) disk-warm.
-        let bundle = match run.verify.get() {
-            Some(_) => None,
-            None => self.disk_bundle(&run),
-        };
-        let dag = d.finish(bundle.is_some());
+        let disk = self
+            .store
+            .as_ref()
+            .map(|store| (store, persist::run_key_of(&run.opts, &run.vfs)));
+        let bundle = disk
+            .filter(|_| run.verify.get().is_none())
+            .and_then(|(store, key)| {
+                // Zero-copy hit: the record is validated once, and the bundle
+                // checks its depfile and decodes straight from the payload view.
+                let view = store.get_view(NS_RUN, key)?;
+                persist::lookup_run(&view, &run.vfs)
+            });
+        let disk_hit = bundle.is_some();
+        let dag = d.finish(disk_hit);
         let result = match bundle {
             Some(result) => result,
             None => {
@@ -1026,41 +1051,29 @@ impl Session {
         }
 
         // ---- persist the run bundle -------------------------------------
-        // Anything that recomputed produces new artifacts worth keeping;
-        // a fully-cached run only writes if the bundle has gone missing
-        // (evicted, or a sabotaged earlier write). Best-effort by design.
-        if let (Some(store), Some(closure_hash)) = (&self.store, run.closure_hash()) {
-            let run_key = persist::run_key_of(closure_hash, &run.opts, &run.vfs);
-            if !(session_run.fully_cached() && store.contains(NS_RUN, run_key)) {
-                if let Some(payload) = persist::encode_run(&session_run.result) {
-                    store.put(NS_RUN, run_key, &payload);
+        // Anything that recomputed produces new artifacts worth keeping. A
+        // fully-cached run writes only when the record under its key may
+        // describe another tree (a header edit keeps the key) or has gone
+        // missing (evicted, or a sabotaged earlier write). A bundle read
+        // from disk may come from another writer, so after one the session
+        // no longer knows what any record holds. Best-effort by design.
+        if let Some((store, key)) = disk {
+            if disk_hit {
+                self.written = None;
+            } else if let Some(closure) = run.closure_hash() {
+                let current = session_run.fully_cached()
+                    && self.written == Some((key, closure))
+                    && store.contains(NS_RUN, key);
+                if !current {
+                    let deps = run.depfile();
+                    if let Some(payload) = persist::encode_run(&session_run.result, &deps) {
+                        store.put(NS_RUN, key, &payload);
+                        self.written = Some((key, closure));
+                    }
                 }
             }
         }
         Ok(session_run)
-    }
-
-    /// The on-disk run bundle answering this whole run, if the store
-    /// holds one. A validated parse manifest recovers a root's closure
-    /// hash without preprocessing anything, and the closure hash plus
-    /// options plus source hashes addresses the bundle.
-    fn disk_bundle(&self, run: &Run) -> Option<SubstitutionResult> {
-        let store = self.store.as_ref()?;
-        let closure_hash =
-            combined_closure_hash(run.roots.iter().zip(&run.parses).map(|(root, cell)| {
-                match cell.get() {
-                    Some(parsed) => Some(parsed.closure_hash),
-                    None => run
-                        .slots
-                        .parse
-                        .probe_disk(&run.vfs, &run.opts.defines, root),
-                }
-            }))?;
-        let run_key = persist::run_key_of(closure_hash, &run.opts, &run.vfs);
-        // Zero-copy hit: the record is validated once and the bundle
-        // module decodes straight from the payload view.
-        let view = store.get_view(NS_RUN, run_key)?;
-        persist::decode_run(&view)
     }
 }
 

@@ -109,7 +109,7 @@ impl MacroTable {
     /// # Errors
     ///
     /// Returns [`CppError::MacroNesting`] when expansions nest deeper than
-    /// [`MAX_MACRO_DEPTH`] levels.
+    /// `MAX_MACRO_DEPTH` levels.
     pub fn expand(&mut self, input: &[Token], out: &mut Vec<Token>) -> Result<()> {
         self.expand_inner(input, out, &mut HashSet::new(), 0)
     }

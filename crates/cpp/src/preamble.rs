@@ -35,7 +35,7 @@
 //! versions whose [`Chain`] holds it. The pool also counts the estimated
 //! bytes of the fragments that parse-cache entries hold: a fragment's
 //! bytes join the count with the first entry that holds it and leave
-//! with the last ([`FragmentPool::hold`], [`FragmentPool::release`]), so
+//! with the last (`FragmentPool::hold`, `FragmentPool::release`), so
 //! a fragment shared by many TUs counts once against a parse cache's
 //! byte budget, whichever entries hold it. A parse of a main file
 //! ([`crate::frontend::parse_with`]) looks each include of the block up

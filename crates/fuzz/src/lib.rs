@@ -11,7 +11,7 @@
 //! * [`oracle`] runs each project twice on the simulator's abstract
 //!   machine (original vs. post-substitution, wrappers TU included) and
 //!   compares the observable traces and the `verify` outcome;
-//! * [`shrink`] greedily deletes model elements on divergence until a
+//! * [`mod@shrink`] greedily deletes model elements on divergence until a
 //!   minimal repro remains;
 //! * [`repro`] serializes minimal repros as ready-to-run fixtures under
 //!   `tests/repros/`;
@@ -256,8 +256,14 @@ mod tests {
         assert_eq!(report.session_cases, 2);
         assert_eq!(
             report.session_mismatches, 0,
-            "warm-from-disk restarts must match the cold oracle"
+            "warm-from-disk restarts must match the cold oracle and be warm"
         );
+        // The streams edit the library header, which changes no root.
+        let edits_lib = |seed| {
+            let log = run_session_case(seed, 6).unwrap().edit_log;
+            log.iter().any(|e| e.starts_with("add library function"))
+        };
+        assert!(report.session_case_seeds.iter().any(|&s| edits_lib(s)));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -6,7 +6,7 @@
 //! sources include the lightweight header; the wrappers TU is loaded as
 //! its own translation unit, exactly like the bench harness loads
 //! subjects). The observable trace — probe-callback sequence, entry
-//! return value, and any [`ExecError`] — must be identical; virtual
+//! return value, and any [`yalla_sim::ir::ExecError`] — must be identical; virtual
 //! cycle counts are deliberately *excluded* (the cycle difference is the
 //! paper's intended effect, not a bug). The engine's own `verify` pass
 //! must also report success.

@@ -20,8 +20,9 @@
 //! With a store dir attached, every step additionally simulates a
 //! process restart: a *fresh* session (fresh [`Store`] handle, empty
 //! memory caches) over the same file state reruns warm-from-disk and is
-//! held to the same byte-identical oracle — fuzzing the on-disk cache
-//! keys the same way the in-memory ones are fuzzed.
+//! held to the same byte-identical oracle, and must be fully cached
+//! whenever the step persisted a bundle — fuzzing the on-disk cache keys
+//! the same way the in-memory ones are fuzzed.
 
 use std::path::Path;
 use std::sync::Arc;
@@ -102,7 +103,9 @@ pub fn run_session_case(seed: u64, edits: usize) -> Result<SessionCaseReport, St
 /// `store_dir`: after each edit's warm-vs-cold check, a fresh session
 /// (simulating a restarted process that has only the cache dir) reruns
 /// warm-from-disk and its artifacts are compared against the cold oracle
-/// too. Disk mismatches are reported with a `disk:` artifact prefix.
+/// too. Disk mismatches are reported with a `disk:` artifact prefix, and
+/// a restart that recomputes after a step that persisted its bundle as
+/// `disk:warmth`.
 ///
 /// # Errors
 ///
@@ -167,7 +170,9 @@ pub fn run_session_case_with_store(
 
         // Restart simulation: a fresh session with a fresh store handle
         // on the same dir — only the cache dir survives — must reproduce
-        // the cold artifacts from disk.
+        // the cold artifacts from disk, and must not recompute when the
+        // warm rerun persisted its bundle (a run whose verification found
+        // violations persists none).
         if let Some(dir) = store_dir {
             let restart_store = Arc::new(
                 Store::open(dir).map_err(|e| format!("reopening store {}: {e}", dir.display()))?,
@@ -176,7 +181,12 @@ pub fn run_session_case_with_store(
                 Session::with_store(options.clone(), session.vfs().clone(), Some(restart_store))
                     .rerun()
                     .map_err(|e| format!("disk-warm rerun: {e}"))?;
-            for artifact in differing_outputs(&restart.result, &cold) {
+            let persisted = warm.result.report.verification.violations.is_empty();
+            let cold_restart = (persisted && !restart.fully_cached()).then_some("warmth");
+            for artifact in differing_outputs(&restart.result, &cold)
+                .into_iter()
+                .chain(cold_restart)
+            {
                 report.mismatches.push(SessionMismatch {
                     step,
                     edit: description.clone(),

@@ -15,7 +15,7 @@
 //!   cross-thread merge and pause-free snapshots, per request class;
 //! * [`reqid`] — the ambient request id the serve daemon threads through
 //!   sessions, DAG nodes, and store lookups for end-to-end causality;
-//! * [`event`] — the one entry point for discrete events (a request, a
+//! * [`event()`] — the one entry point for discrete events (a request, a
 //!   stage decision, a store lookup, a cancel): each is one [`Event`] in
 //!   the profiler's stream, stamped with its thread and request id;
 //! * renderings of that stream — a Chrome-trace JSON writer ([`chrome`])

@@ -61,8 +61,8 @@ pub mod names {
     /// Cached artifacts recomputed because their input keys changed.
     pub const CACHE_INVALIDATIONS: &str = "cache.invalidations";
     /// In-memory parse-cache entries evicted by the byte budget
-    /// (`--mem-budget` / `YALLA_MEM_BUDGET`); each eviction spills to the
-    /// on-disk store tier when one is attached.
+    /// (`--mem-budget` / `YALLA_MEM_BUDGET`); an evicted entry is simply
+    /// dropped, and the next parse of its root misses.
     pub const CACHE_EVICTIONS: &str = "cache.evictions";
     /// Estimated bytes of parsed TUs currently resident in in-memory
     /// parse caches, process-wide (gauge).

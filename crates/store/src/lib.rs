@@ -50,11 +50,13 @@ use lock::LockGuard;
 pub use record::FORMAT_VERSION;
 pub use sabotage::Sabotage;
 
-/// Namespace for parse dep-manifests (keyed by `(main path, defines)`
-/// fingerprint; payload lists the include closure and its hash).
+/// Namespace the parse cache once persisted dependency manifests in.
+/// Nothing writes it any more (a run bundle carries its own depfile);
+/// the name stays for tools that list every namespace.
 pub const NS_PARSE: &str = "parse";
 /// Namespace for whole-run artifact bundles (keyed by the run
-/// fingerprint over closure + options + sources).
+/// fingerprint over options + root and source contents; the payload
+/// carries the run's depfile, checked on lookup).
 pub const NS_RUN: &str = "run";
 /// Namespace for `yalla serve` project records (keyed by root content
 /// hash; payload re-seeds a warm session after restart).

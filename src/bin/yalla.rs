@@ -54,7 +54,7 @@
 //! (DESIGN.md §13) without running anything:
 //!
 //! ```text
-//! yalla dump --cache-dir <DIR> --key <HEX> [--ns parse|run|serve]
+//! yalla dump --cache-dir <DIR> --key <HEX> [--ns run|serve]
 //!            [--format summary|text]
 //! ```
 //!
@@ -648,7 +648,7 @@ fn run_serve(_args: &[String]) -> Result<(), String> {
 }
 
 const DUMP_USAGE: &str = "usage: yalla dump --cache-dir <DIR> --key <HEX> \
-[--ns parse|run|serve] [--format summary|text]";
+[--ns run|serve] [--format summary|text]";
 
 /// Inspects one on-disk store record: validates it (header + checksum)
 /// and prints either the binary module's layout (`--format=summary`,

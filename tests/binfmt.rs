@@ -19,6 +19,7 @@ use std::sync::Arc;
 
 use yalla::core::persist::{decode_run, encode_run};
 use yalla::corpus::all_subjects;
+use yalla::cpp::cache::depfile_of;
 use yalla::obs::metrics::names::STORE_ZERO_COPY_HITS;
 use yalla::store::module::{ModuleBuilder, ModuleReader, PartitionBuilder};
 use yalla::store::{record, Store, FORMAT_VERSION};
@@ -120,7 +121,10 @@ fn run_bundles_reencode_byte_identically_across_the_corpus() {
         let result = Engine::new(options)
             .run(&subject.vfs)
             .unwrap_or_else(|e| panic!("{}: engine: {e}", subject.name));
-        let bytes = encode_run(&result)
+        // Every file of the subject stands in for the run's depfile.
+        let ids: Vec<_> = subject.vfs.iter().map(|(id, _)| id).collect();
+        let deps = depfile_of(&subject.vfs, &ids);
+        let bytes = encode_run(&result, &deps)
             .unwrap_or_else(|| panic!("{}: clean run must be persistable", subject.name));
         ModuleReader::parse(&bytes)
             .unwrap_or_else(|e| panic!("{}: bundle is not a valid module: {e:?}", subject.name));
@@ -131,7 +135,7 @@ fn run_bundles_reencode_byte_identically_across_the_corpus() {
         assert_eq!(decoded.wrappers_file, result.wrappers_file);
         assert_eq!(decoded.rewritten_sources, result.rewritten_sources);
         // And the format has one canonical serialization.
-        let reencoded = encode_run(&decoded)
+        let reencoded = encode_run(&decoded, &deps)
             .unwrap_or_else(|| panic!("{}: decoded run must re-encode", subject.name));
         assert_eq!(
             reencoded, bytes,

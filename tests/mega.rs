@@ -16,10 +16,10 @@
 //!   `YALLA_MEM_BUDGET` (run in a child process so the process-wide
 //!   budget cannot leak into threaded sibling tests) is byte-identical
 //!   to the unbounded run, with `cache.evictions > 0`.
-//! * **Spill round-trip** — every record the tiny-budget run spilled to
-//!   the store warms a fresh session to the same bytes, and under the
-//!   store's write-time sabotage modes the rerun still matches (corrupt
-//!   spills degrade to recompute, never to wrong artifacts).
+//! * **Disk round-trip** — the run bundle the tiny-budget run persisted
+//!   warms a fresh session to the same bytes, and under the store's
+//!   write-time sabotage modes the rerun still matches (a corrupt bundle
+//!   degrades to recompute, never to wrong artifacts).
 
 mod common;
 
@@ -155,8 +155,8 @@ fn mega_4k_tiny_budget_is_invisible_to_artifacts_and_spills_round_trip() {
     // Child leg: YALLA_MEM_BUDGET is already set by the parent, so this
     // whole process runs under the tiny budget (the same path
     // `--mem-budget`/the env var give real users). Runs the cold pass,
-    // then a fresh session over the same store to prove spilled records
-    // round-trip, and reports fingerprints + eviction count.
+    // then a fresh session over the same store to prove the run bundle
+    // round-trips, and reports fingerprints + eviction count.
     if let Ok(out) = std::env::var(EVICT_OUT_ENV) {
         let cfg = MegaConfig::preset("mega-4k").unwrap();
         let project = MegaProject::generate(&cfg);
@@ -202,7 +202,7 @@ fn mega_4k_tiny_budget_is_invisible_to_artifacts_and_spills_round_trip() {
     let scratch = temp_dir("evict");
     std::fs::create_dir_all(&scratch).unwrap();
 
-    // Two child passes: a clean store, then every spill written through
+    // Child passes: a clean store, then every record written through
     // each sabotage mode (torn / bit-rot / missing records must degrade
     // to recompute, never to divergent artifacts).
     for mode in ["", "truncate", "flip-byte", "partial-write", "enoent"] {
@@ -239,13 +239,13 @@ fn mega_4k_tiny_budget_is_invisible_to_artifacts_and_spills_round_trip() {
         );
         assert_eq!(
             warm_hash, baseline,
-            "{tag}: post-spill rerun diverged from unbounded run"
+            "{tag}: disk-warm rerun diverged from unbounded run"
         );
         assert!(evictions > 0, "{tag}: tiny budget evicted nothing");
         if mode.is_empty() {
-            // Clean store: the spilled records must actually warm the
+            // Clean store: the run bundle must actually warm the
             // fresh session — nothing reparses.
-            assert_eq!(reparsed, 0, "clean: spilled records did not round-trip");
+            assert_eq!(reparsed, 0, "clean: the run bundle did not round-trip");
         }
     }
     let _ = std::fs::remove_dir_all(&scratch);

@@ -115,7 +115,7 @@ use yalla_cpp::cache::{CachedParse, ParseCache, HISTORY};
 use yalla_cpp::hash::{self, Fnv64};
 use yalla_cpp::loc::FileId;
 use yalla_cpp::vfs::Vfs;
-use yalla_cpp::ParsedTu;
+use yalla_cpp::{FragmentPool, ParsedTu};
 use yalla_exec::{CancelToken, Dag, Executor, NodeId, Priority};
 use yalla_store::{Store, NS_RUN};
 
@@ -758,10 +758,15 @@ impl Session {
     /// Creates a session over `vfs` backed by `store` as a second cache
     /// tier (memory → disk → recompute), or purely in-memory when `None`.
     pub fn with_store(options: Options, vfs: Vfs, store: Option<Arc<Store>>) -> Self {
-        let parse = ParseCache::new();
+        // The substituted header is the pool's header unit.
+        let pool = match vfs.resolve_include(&options.header, None, false) {
+            Ok(header) => FragmentPool::with_unit(vfs.path(header)),
+            Err(_) => FragmentPool::new(),
+        };
+        let pool = Arc::new(pool);
         let slots = Slots {
-            user_parse: ParseCache::new().with_pool(Arc::clone(parse.pool())),
-            parse,
+            user_parse: ParseCache::new().with_pool(Arc::clone(&pool)),
+            parse: ParseCache::new().with_pool(pool),
             usages: options
                 .parse_roots()
                 .iter()

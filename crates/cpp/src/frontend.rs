@@ -1,15 +1,18 @@
 //! The frontend driver: preprocess + parse in one call, from scratch or
 //! through a pool of include fragments ([`crate::preamble`]).
 
+use std::cell::{Cell, RefCell};
 use std::sync::Arc;
 
 use yalla_obs::metrics::names;
 
 use crate::ast::TranslationUnit;
 use crate::error::Result;
+use crate::lex::Token;
+use crate::loc::FileId;
 use crate::parse::Parser;
-use crate::pp::{PpStats, Preprocessor};
-use crate::preamble::{fragment_key, Chain, Fragment, FragmentPool, Lookup};
+use crate::pp::{IncludeEffect, PpStats, Preprocessor, UnitSite};
+use crate::preamble::{fragment_key, Chain, Fragment, FragmentPool, Lookup, Ticket};
 use crate::vfs::Vfs;
 
 /// A parsed translation unit together with its preprocessing statistics.
@@ -122,7 +125,10 @@ fn preprocessor<'v>(vfs: &'v Vfs, defines: &[(String, String)]) -> Preprocessor<
 /// ([`crate::preamble`]): an include whose fragment `pool` holds, valid
 /// and in the same incoming state, is replayed from it and counts
 /// `cpp.fragments_reused`; any other is processed and parsed on its own
-/// and counts `cpp.fragments_built`, and its fragment joins the pool. The
+/// and counts `cpp.fragments_built`, and its fragment joins the pool.
+/// Where an include processed on its own reaches the pool's header unit
+/// before delivering any token, the unit is one more fragment, reused or
+/// built the same way, that the include's fragment starts with. The
 /// rest of the main file is then preprocessed and parsed
 /// after the fragments' declarations; a parse that reused a fragment
 /// counts `cpp.preamble_reused`. When a fragment's tokens do not parse on
@@ -188,13 +194,28 @@ fn parse_chained(
     pool: &FragmentPool,
     keep: bool,
 ) -> Result<Option<PooledParse>> {
+    let units = pool
+        .unit()
+        .and_then(|path| vfs.lookup(path))
+        .map(|file| Units {
+            file,
+            vfs,
+            pool,
+            keep,
+            lambda_counter: Cell::new(0),
+            found: RefCell::new(None),
+            unparsed: Cell::new(false),
+        });
     let mut pp = preprocessor(vfs, defines);
+    if let Some(units) = &units {
+        pp.offer_units(units);
+    }
     let mut main = {
         let _span = yalla_obs::span("frontend", "preprocess");
         pp.open_main(main_path)?
     };
     let (mut fragments, mut decls) = (Vec::new(), Vec::new());
-    let (mut lambda_counter, mut resumed) = (0, false);
+    let mut lambda_counter = 0;
     loop {
         let target = {
             let _span = yalla_obs::span("frontend", "preprocess");
@@ -203,22 +224,29 @@ fn parse_chained(
         let Some(target) = target else {
             break;
         };
-        let key = fragment_key(pp.state_digest(), lambda_counter, vfs.path(target));
-        let fragment = match pool.lookup(key, vfs) {
+        let key = fragment_key(pp.macro_digest(), lambda_counter, vfs.path(target));
+        let fragment = match pool.lookup(key, |f| f.is_valid(vfs) && pp.admits(&f.pp)) {
             Lookup::Hit(fragment) => {
                 pp.apply(&mut main, &fragment.pp);
-                resumed = true;
                 fragment
             }
             Lookup::Miss(ticket) => {
+                if let Some(units) = &units {
+                    units.lambda_counter.set(lambda_counter);
+                }
                 let (tokens, effect) = {
                     let _span = yalla_obs::span("frontend", "preprocess");
-                    pp.include_apart(&mut main, target)?
+                    pp.process_apart(target)?
                 };
+                let unit = units.as_ref().and_then(|u| u.found.take());
+                if units.as_ref().is_some_and(|u| u.unparsed.get()) {
+                    return Ok(None);
+                }
                 let _span = yalla_obs::span("frontend", "parse");
-                let mut parser = Parser::resume(tokens, lambda_counter);
+                let counter = unit.as_ref().map_or(lambda_counter, |u| u.lambda_counter);
                 if !keep {
                     // Dropping the ticket lets a waiting parse build it.
+                    let mut parser = Parser::resume(tokens, counter);
                     let Ok(decls) = parser.skim_translation_unit() else {
                         return Ok(None);
                     };
@@ -226,27 +254,20 @@ fn parse_chained(
                     lambda_counter = parser.lambda_counter();
                     continue;
                 }
-                let Ok(ast) = parser.parse_translation_unit() else {
+                let built = build_fragment(vfs, ticket, tokens, effect, unit, counter);
+                let Some(fragment) = built else {
                     return Ok(None);
                 };
-                yalla_obs::count(names::AST_DECLS, ast.decls.len() as i64);
-                yalla_obs::count(names::FRAGMENTS_BUILT, 1);
-                let fragment = Arc::new(Fragment::new(
-                    vfs,
-                    effect,
-                    ast.decls,
-                    parser.lambda_counter(),
-                ));
-                ticket.insert(&fragment);
                 fragment
             }
         };
         lambda_counter = fragment.lambda_counter;
         if keep {
-            decls.extend(fragment.decls.iter().cloned());
+            decls.extend(fragment.decls().cloned());
             fragments.push(fragment);
         }
     }
+    let resumed = pp.replayed();
     let out = {
         let _span = yalla_obs::span("frontend", "preprocess");
         pp.finish_main(main)?
@@ -271,6 +292,76 @@ fn parse_chained(
         },
         chain: Chain::new(fragments),
     }))
+}
+
+/// The header unit of one parse through a pool ([`crate::preamble`]),
+/// where an include fragment being built reaches it first.
+#[derive(Debug)]
+struct Units<'p> {
+    file: FileId,
+    vfs: &'p Vfs,
+    pool: &'p FragmentPool,
+    /// Whether the parse keeps declarations: otherwise it builds no unit.
+    keep: bool,
+    /// The lambda counter the fragment being built starts at.
+    lambda_counter: Cell<u32>,
+    /// The unit the fragment being built starts with.
+    found: RefCell<Option<Arc<Fragment>>>,
+    /// Set when a unit's tokens did not parse on their own.
+    unparsed: Cell<bool>,
+}
+
+impl UnitSite for Units<'_> {
+    fn file(&self) -> FileId {
+        self.file
+    }
+
+    fn include(&self, pp: &mut Preprocessor<'_>) -> Result<bool> {
+        let (vfs, counter) = (self.vfs, self.lambda_counter.get());
+        let key = fragment_key(pp.macro_digest(), counter, vfs.path(self.file));
+        let ticket = match self
+            .pool
+            .lookup(key, |f| f.is_valid(vfs) && pp.admits(&f.pp))
+        {
+            Lookup::Hit(unit) => {
+                pp.replay(&unit.pp);
+                *self.found.borrow_mut() = Some(unit);
+                return Ok(true);
+            }
+            // A check builds no unit, since nothing would hold it.
+            Lookup::Miss(_) if !self.keep => return Ok(false),
+            Lookup::Miss(ticket) => ticket,
+        };
+        let (tokens, effect) = pp.process_apart(self.file)?;
+        match build_fragment(vfs, ticket, tokens, effect, None, counter) {
+            Some(unit) => *self.found.borrow_mut() = Some(unit),
+            None => self.unparsed.set(true),
+        }
+        Ok(true)
+    }
+}
+
+/// The fragment of an include processed apart: its `tokens` parsed on
+/// their own from lambda counter `counter`, after `unit`'s declarations
+/// when it starts with a header unit. It joins the pool through
+/// `ticket`, and counts `cpp.fragments_built`; `None` when the tokens do
+/// not parse on their own.
+fn build_fragment(
+    vfs: &Vfs,
+    ticket: Ticket<'_>,
+    tokens: Vec<Token>,
+    effect: IncludeEffect,
+    unit: Option<Arc<Fragment>>,
+    counter: u32,
+) -> Option<Arc<Fragment>> {
+    let mut parser = Parser::resume(tokens, counter);
+    let ast = parser.parse_translation_unit().ok()?;
+    yalla_obs::count(names::AST_DECLS, ast.decls.len() as i64);
+    yalla_obs::count(names::FRAGMENTS_BUILT, 1);
+    let fragment = Fragment::new(vfs, effect, unit, ast.decls, parser.lambda_counter());
+    let fragment = Arc::new(fragment);
+    ticket.insert(&fragment);
+    Some(fragment)
 }
 
 #[cfg(test)]

@@ -80,14 +80,6 @@ pub fn hash_str(s: &str) -> u64 {
     hash_bytes(s.as_bytes())
 }
 
-/// Combines two hashes order-sensitively.
-pub fn combine(a: u64, b: u64) -> u64 {
-    let mut h = Fnv64::new();
-    h.write_u64(a);
-    h.write_u64(b);
-    h.finish()
-}
-
 /// Scrambles a hash (the splitmix64 finalizer) so that wrapping sums of
 /// scrambled member hashes digest a set independently of its order.
 pub fn mix(v: u64) -> u64 {
@@ -139,10 +131,5 @@ mod tests {
         assert_ne!(hash_defines(&d1), hash_defines(&d2));
         assert_ne!(hash_defines(&d1), hash_defines(&d3));
         assert_eq!(hash_defines(&d1), hash_defines(&d1.clone()));
-    }
-
-    #[test]
-    fn combine_is_order_sensitive() {
-        assert_ne!(combine(1, 2), combine(2, 1));
     }
 }

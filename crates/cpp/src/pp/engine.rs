@@ -40,8 +40,6 @@ pub struct Preprocessor<'v> {
     macros: MacroTable,
     /// Shared, like the macro table's definitions, until changed.
     pragma_once: Arc<HashSet<FileId>>,
-    /// Wrapping sum of the scrambled ids in `pragma_once`.
-    once_digest: u64,
     stats: PpStats,
     out: Vec<Token>,
     depth: usize,
@@ -50,6 +48,44 @@ pub struct Preprocessor<'v> {
     /// file, which it leaves in `paused`.
     pausing: bool,
     paused: Option<FileId>,
+    /// The `#pragma once` reads of the includes being processed apart,
+    /// innermost last.
+    once_logs: Vec<OnceLog>,
+    /// Deepest include nesting reached (`depth` after an entry) since
+    /// the innermost include processed apart began.
+    reach: usize,
+    /// Line of the last token delivered beside the output (by an include
+    /// replayed or processed apart).
+    beside_line: Option<u32>,
+    /// Work the replayed includes stand in for: files first entered,
+    /// lines, include edges (the includer's own included) and macro
+    /// expansions.
+    replayed: [usize; 4],
+    /// Where the header unit's include goes when an include processed
+    /// apart reaches it first.
+    units: Option<&'v dyn UnitSite>,
+    /// True while an include processed apart, other than the header
+    /// unit, has included no unit; the unit is offered only while the
+    /// output is also empty.
+    offering: bool,
+}
+
+/// Where the header unit's `#include` goes when an include processed
+/// apart ([`Preprocessor::process_apart`]) reaches it before delivering
+/// any token ([`crate::preamble`]): the unit then becomes an include
+/// fragment of its own, which the enclosing one starts with.
+pub(crate) trait UnitSite: std::fmt::Debug {
+    /// The header unit.
+    fn file(&self) -> FileId;
+    /// Processes the unit's include in `pp`'s state, replaying it
+    /// ([`Preprocessor::replay`]) or processing it apart
+    /// ([`Preprocessor::process_apart`]); `false` leaves it to be
+    /// processed inline.
+    ///
+    /// # Errors
+    ///
+    /// Propagates preprocessing failures.
+    fn include(&self, pp: &mut Preprocessor<'_>) -> Result<bool>;
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -77,23 +113,68 @@ struct FileScan {
     counted: HashSet<u32>,
 }
 
-/// What one `#include` of a main file's leading directive block did:
-/// the preprocessor's state after it, its own share of the statistics
-/// (what it would add to an empty [`PpStats`], with the expansions it
-/// performed in `macro_expansions`) and the line of the last token it
-/// delivered. [`crate::preamble::Fragment`] wraps it with the tokens'
-/// declarations; [`Preprocessor::apply`] replays it.
+/// What one `#include` processed apart did: the preprocessor's state
+/// after it and the `#pragma once` answers it depended on, its own share
+/// of the statistics (what it would add to an empty [`PpStats`], with
+/// the expansions it performed in `macro_expansions`), the line of the
+/// last token it delivered and how deep it nested.
+/// [`crate::preamble::Fragment`] wraps it with the tokens'
+/// declarations; [`Preprocessor::replay`] replays it.
 #[derive(Debug)]
 pub(crate) struct IncludeEffect {
     /// The macro table after the include.
     pub(crate) macros: MacroTable,
-    /// The `#pragma once` set after it, and its digest.
-    pub(crate) pragma_once: Arc<HashSet<FileId>>,
-    pub(crate) once_digest: u64,
+    /// Its `#pragma once` reads and entries.
+    pub(crate) once: OnceReads,
     /// The include's share of the statistics.
     pub(crate) stats: PpStats,
     /// Line of the last token it delivered, if any.
     pub(crate) last_line: Option<u32>,
+    /// Deepest nesting it reached, counted from its includer: 1 when it
+    /// entered only its own file, 0 when it entered none.
+    pub(crate) reach: usize,
+}
+
+/// The `#pragma once` set as an include processed apart read and changed
+/// it.
+#[derive(Debug, Default)]
+pub(crate) struct OnceReads {
+    /// Each file it looked up in the set it came in with, and whether the
+    /// file was there (skipped) or not (entered); a file it added itself
+    /// is not a read.
+    pub(crate) reads: Vec<(FileId, bool)>,
+    /// The files it added.
+    pub(crate) adds: Vec<FileId>,
+}
+
+/// [`OnceReads`] while the include is processed, with every file it has
+/// read or added.
+#[derive(Debug, Default)]
+struct OnceLog {
+    once: OnceReads,
+    seen: HashSet<FileId>,
+}
+
+impl OnceLog {
+    fn read(&mut self, file: FileId, present: bool) {
+        if self.seen.insert(file) {
+            self.once.reads.push((file, present));
+        }
+    }
+
+    fn add(&mut self, file: FileId) {
+        self.seen.insert(file);
+        self.once.adds.push(file);
+    }
+
+    /// Takes in what an include processed or replayed inside this one
+    /// read and added.
+    fn absorb(&mut self, inner: &OnceReads) {
+        for &(file, present) in &inner.reads {
+            self.read(file, present);
+        }
+        inner.adds.iter().for_each(|&file| self.add(file));
+    }
 }
 
 /// A main file preprocessed one leading-block `#include` at a time
@@ -105,15 +186,8 @@ pub(crate) struct MainFile {
     scan: FileScan,
     /// False once the scan has passed the leading directive block.
     in_block: bool,
-    /// Work the includes replayed by [`Preprocessor::apply`] stand in
-    /// for: files first entered, lines, include edges (the main file's own
-    /// included) and macro expansions. `None` when none was replayed.
-    replayed: Option<[usize; 4]>,
     /// The main file's lines counted through the last replayed include.
     replayed_main_lines: usize,
-    /// Line of the last token delivered beside the output (by an include
-    /// replayed or processed apart).
-    last_line: Option<u32>,
 }
 
 impl<'v> Preprocessor<'v> {
@@ -123,18 +197,29 @@ impl<'v> Preprocessor<'v> {
             vfs,
             macros: MacroTable::new(),
             pragma_once: Arc::default(),
-            once_digest: 0,
             stats: PpStats::default(),
             out: Vec::new(),
             depth: 0,
             pausing: false,
             paused: None,
+            once_logs: Vec::new(),
+            reach: 0,
+            beside_line: None,
+            replayed: [0; 4],
+            units: None,
+            offering: false,
         }
     }
 
     /// Predefines an object-like macro (like `-DNAME=VALUE`).
     pub fn define(&mut self, name: &str, value: &str) {
         self.macros.define(name, MacroDef::object(value));
+    }
+
+    /// Hands the header unit's include to `units` wherever an include
+    /// processed apart reaches it before delivering any token.
+    pub(crate) fn offer_units(&mut self, units: &'v dyn UnitSite) {
+        self.units = Some(units);
     }
 
     /// Runs the preprocessor on `main_path` and returns the TU tokens and
@@ -164,9 +249,7 @@ impl<'v> Preprocessor<'v> {
             tokens,
             scan: FileScan::default(),
             in_block: true,
-            replayed: None,
             replayed_main_lines: 0,
-            last_line: None,
         })
     }
 
@@ -174,7 +257,7 @@ impl<'v> Preprocessor<'v> {
     /// its first active token outside a directive) up to its next active
     /// `#include`, records the include edge and returns the included file
     /// without entering it; the caller then processes it apart
-    /// ([`Preprocessor::include_apart`]) or replays it
+    /// ([`Preprocessor::process_apart`]) or replays it
     /// ([`Preprocessor::apply`]). `None` once the block has ended.
     pub(crate) fn next_block_include(&mut self, main: &mut MainFile) -> Result<Option<FileId>> {
         if !main.in_block {
@@ -189,61 +272,105 @@ impl<'v> Preprocessor<'v> {
         Ok(paused)
     }
 
-    /// A digest of the state the next include would be processed in: the
-    /// macro table (the predefined macros included) and the `#pragma
-    /// once` set.
-    pub(crate) fn state_digest(&self) -> u64 {
-        crate::hash::combine(self.macros.digest(), self.once_digest)
+    /// A digest of the macro table (the predefined macros included): with
+    /// the `#pragma once` answers an include read ([`Preprocessor::admits`]),
+    /// the state the next include would be processed in.
+    pub(crate) fn macro_digest(&self) -> u64 {
+        self.macros.digest()
     }
 
-    /// Processes the include of `target` that
-    /// [`Preprocessor::next_block_include`] returned, apart from the
-    /// output: returns the tokens it delivers and what it did. Its
-    /// statistics are added to the TU's too.
-    pub(crate) fn include_apart(
-        &mut self,
-        main: &mut MainFile,
-        target: FileId,
-    ) -> Result<(Vec<Token>, IncludeEffect)> {
+    /// True when replaying `effect` here does what processing its include
+    /// would: every file it looked up in the `#pragma once` set has the
+    /// same answer, and its nesting stays within the include-depth limit.
+    pub(crate) fn admits(&self, effect: &IncludeEffect) -> bool {
+        self.depth + effect.reach <= MAX_INCLUDE_DEPTH
+            && effect
+                .once
+                .reads
+                .iter()
+                .all(|(file, present)| self.pragma_once.contains(file) == *present)
+    }
+
+    /// Processes an include of `target` apart from the output: returns
+    /// the tokens it delivers and what it did. Its statistics and
+    /// `#pragma once` reads are added to those of the includes around it.
+    pub(crate) fn process_apart(&mut self, target: FileId) -> Result<(Vec<Token>, IncludeEffect)> {
         let stats = std::mem::take(&mut self.stats);
         let out = std::mem::take(&mut self.out);
+        let beside = self.beside_line.take();
+        let (site, reach) = (self.depth, self.reach);
+        self.reach = site;
+        let offering = self.offering;
+        self.offering = self.units.is_some_and(|u| u.file() != target);
+        self.once_logs.push(OnceLog::default());
         let expansions = self.macros.expansions;
         let processed = self.process_file(target, false);
+        let log = self.once_logs.pop().expect("pushed above");
+        self.offering = offering;
         let mut share = std::mem::replace(&mut self.stats, stats);
         let tokens = std::mem::replace(&mut self.out, out);
+        let inner_reach = std::mem::replace(&mut self.reach, reach);
+        let last_line = tokens.last().map(|t| t.line).or(self.beside_line);
+        self.beside_line = beside;
         processed?;
         share.macro_expansions = self.macros.expansions - expansions;
-        self.stats.merge(&share);
-        let last_line = tokens.last().map(|t| t.line);
-        main.last_line = last_line.or(main.last_line);
         let effect = IncludeEffect {
             macros: self.macros.clone(),
-            pragma_once: self.pragma_once.clone(),
-            once_digest: self.once_digest,
+            once: log.once,
             stats: share,
             last_line,
+            reach: inner_reach - site,
         };
+        self.absorb(&effect);
         Ok((tokens, effect))
     }
 
     /// Replays an include that [`Preprocessor::next_block_include`]
-    /// returned from what a processing of it in the same state did: the
-    /// state after it, and its statistics, are restored without entering
-    /// a file.
+    /// returned ([`Preprocessor::replay`]).
     pub(crate) fn apply(&mut self, main: &mut MainFile, effect: &IncludeEffect) {
+        self.replay(effect);
+        main.replayed_main_lines = main.scan.counted.len();
+    }
+
+    /// Replays an include from what a processing of it in the same state
+    /// ([`Preprocessor::admits`]) did: the macro table after it is
+    /// restored, its `#pragma once` entries added, and its statistics
+    /// added, without entering a file.
+    pub(crate) fn replay(&mut self, effect: &IncludeEffect) {
         let expansions = self.macros.expansions + effect.stats.macro_expansions;
         self.macros = effect.macros.clone();
         self.macros.expansions = expansions;
-        self.pragma_once = effect.pragma_once.clone();
-        self.once_digest = effect.once_digest;
-        let files = self.stats.merge(&effect.stats);
-        let work = main.replayed.get_or_insert([0; 4]);
-        work[0] += files;
-        work[1] += effect.stats.lines_compiled;
-        work[2] += effect.stats.include_edges.len() + 1;
-        work[3] += effect.stats.macro_expansions;
-        main.replayed_main_lines = main.scan.counted.len();
-        main.last_line = effect.last_line.or(main.last_line);
+        if !effect.once.adds.is_empty() {
+            Arc::make_mut(&mut self.pragma_once).extend(&effect.once.adds);
+        }
+        let files = self.absorb(effect);
+        let work = [
+            files,
+            effect.stats.lines_compiled,
+            effect.stats.include_edges.len() + 1,
+            effect.stats.macro_expansions,
+        ];
+        for (total, n) in self.replayed.iter_mut().zip(work) {
+            *total += n;
+        }
+    }
+
+    /// True once an include has been replayed.
+    pub(crate) fn replayed(&self) -> bool {
+        // Each replay stands in for its own include edge at least.
+        self.replayed[2] > 0
+    }
+
+    /// Adds what an include processed apart or replayed did to what the
+    /// includes around it did; returns how many of its files entered
+    /// first.
+    fn absorb(&mut self, effect: &IncludeEffect) -> usize {
+        if let Some(log) = self.once_logs.last_mut() {
+            log.absorb(&effect.once);
+        }
+        self.reach = self.reach.max(self.depth + effect.reach);
+        self.beside_line = effect.last_line.or(self.beside_line);
+        self.stats.merge(&effect.stats)
     }
 
     /// Preprocesses the rest of the main file and returns the output:
@@ -259,32 +386,26 @@ impl<'v> Preprocessor<'v> {
         self.stats.macro_expansions = self.macros.expansions;
         {
             use yalla_obs::metrics::names;
-            let [files, lines, edges, expansions] = match main.replayed {
-                None => [0; 4],
-                Some([files, lines, edges, expansions]) => {
-                    [files, lines + main.replayed_main_lines, edges, expansions]
-                }
-            };
+            let [files, lines, edges, expansions] = self.replayed;
+            let lines = lines + main.replayed_main_lines;
             let s = &self.stats;
+            let done = |total: usize, replayed: usize| total.saturating_sub(replayed) as i64;
             yalla_obs::count(
                 names::FILES_PREPROCESSED,
-                (s.files_entered.len() - files) as i64,
+                done(s.files_entered.len(), files),
             );
-            yalla_obs::count(names::LINES_PREPROCESSED, (s.lines_compiled - lines) as i64);
-            yalla_obs::count(
-                names::INCLUDES_RESOLVED,
-                (s.include_edges.len() - edges) as i64,
-            );
+            yalla_obs::count(names::LINES_PREPROCESSED, done(s.lines_compiled, lines));
+            yalla_obs::count(names::INCLUDES_RESOLVED, done(s.include_edges.len(), edges));
             yalla_obs::count(
                 names::MACRO_EXPANSIONS,
-                (s.macro_expansions - expansions) as i64,
+                done(s.macro_expansions, expansions),
             );
         }
         let last_line = self
             .out
             .last()
             .map(|t| t.line)
-            .or(main.last_line)
+            .or(self.beside_line)
             .unwrap_or(1);
         self.out.push(Token {
             kind: TokenKind::Eof,
@@ -306,6 +427,7 @@ impl<'v> Preprocessor<'v> {
             });
         }
         self.depth += 1;
+        self.reach = self.reach.max(self.depth);
         self.stats.enter_file(file, is_main);
         let _lex_span = yalla_obs::span("pp", "lex");
         lex_file(file, self.vfs.text(file))
@@ -321,7 +443,11 @@ impl<'v> Preprocessor<'v> {
     }
 
     fn process_file(&mut self, file: FileId, is_main: bool) -> Result<()> {
-        if self.pragma_once.contains(&file) {
+        let skipped = self.pragma_once.contains(&file);
+        if let Some(log) = self.once_logs.last_mut() {
+            log.read(file, skipped);
+        }
+        if skipped {
             return Ok(());
         }
         // One span per file entry; recursion through `handle_include` nests
@@ -499,10 +625,11 @@ impl<'v> Preprocessor<'v> {
                 if active
                     && rest.first().is_some_and(|t| t.kind.is_ident("once"))
                     && !self.pragma_once.contains(&file)
-                    && Arc::make_mut(&mut self.pragma_once).insert(file)
                 {
-                    let id = crate::hash::mix(u64::from(file.0) + 1);
-                    self.once_digest = self.once_digest.wrapping_add(id);
+                    Arc::make_mut(&mut self.pragma_once).insert(file);
+                    if let Some(log) = self.once_logs.last_mut() {
+                        log.add(file);
+                    }
                 }
             }
             "error" => {
@@ -567,6 +694,17 @@ impl<'v> Preprocessor<'v> {
         if self.pausing {
             self.paused = Some(target);
             return Ok(());
+        }
+        let unit = self
+            .units
+            .filter(|u| self.offering && self.out.is_empty() && u.file() == target);
+        if let Some(units) = unit {
+            // One unit per include processed apart: it holds the first
+            // declarations, and any later token follows it.
+            self.offering = false;
+            if units.include(self)? {
+                return Ok(());
+            }
         }
         self.process_file(target, false)
     }

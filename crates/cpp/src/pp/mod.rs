@@ -11,7 +11,7 @@ mod engine;
 mod macros;
 mod stats;
 
-pub(crate) use engine::IncludeEffect;
 pub use engine::{preprocess, PpOutput, Preprocessor};
+pub(crate) use engine::{IncludeEffect, UnitSite};
 pub use macros::{MacroDef, MacroTable};
 pub use stats::PpStats;

@@ -221,8 +221,14 @@ impl Drop for Core {
     fn drop(&mut self) {
         self.inner.shutdown.store(true, Ordering::Release);
         self.inner.notify();
+        // A task may drop the last clone on one of this pool's workers,
+        // which cannot join itself: its handle is detached, and it exits
+        // once the task returns.
+        let current = std::thread::current().id();
         for handle in self.handles.lock().expect("handles lock").drain(..) {
-            let _ = handle.join();
+            if handle.thread().id() != current {
+                let _ = handle.join();
+            }
         }
     }
 }
@@ -462,6 +468,48 @@ mod tests {
         }
         exec.wait(&latch);
         assert_eq!(hits.load(Ordering::Relaxed), 100);
+    }
+
+    #[test]
+    fn a_task_that_drops_the_last_handle_joins_the_other_worker() {
+        /// Set when the worker thread holding it exits.
+        struct OnExit(Arc<AtomicBool>);
+        impl Drop for OnExit {
+            fn drop(&mut self) {
+                self.0.store(true, Ordering::SeqCst);
+            }
+        }
+        thread_local! {
+            static EXIT: RefCell<Option<OnExit>> = const { RefCell::new(None) };
+        }
+        let exec = Executor::new(2);
+        // Both tasks and this thread meet, so the tasks run on different
+        // workers and this thread's handle is gone before the last drops.
+        let meet = Arc::new(std::sync::Barrier::new(3));
+        let exited = Arc::new(AtomicBool::new(false));
+        let (report, reported) = std::sync::mpsc::channel();
+        {
+            let (meet, exited) = (Arc::clone(&meet), Arc::clone(&exited));
+            exec.spawn(move || {
+                EXIT.with(|e| *e.borrow_mut() = Some(OnExit(exited)));
+                meet.wait();
+            });
+        }
+        {
+            let (meet, exited, last) = (Arc::clone(&meet), Arc::clone(&exited), exec.clone());
+            exec.spawn(move || {
+                meet.wait();
+                let dropped = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| drop(last)));
+                let _ = report.send((dropped.is_ok(), exited.load(Ordering::SeqCst)));
+            });
+        }
+        drop(exec);
+        meet.wait();
+        let (no_panic, joined) = reported
+            .recv_timeout(Duration::from_secs(30))
+            .expect("the task reports");
+        assert!(no_panic, "dropping the last handle on a worker panicked");
+        assert!(joined, "the other worker was not joined");
     }
 
     #[test]

@@ -41,8 +41,8 @@ pub use oracle::{CaseOutcome, Divergence, ExecTrace, Sabotage};
 pub use race::{run_race_case, RaceCaseReport, RaceMismatch};
 pub use repro::{parse_fixture, render_fixture, Repro};
 pub use session_fuzz::{
-    edit_stream_seed, run_session_case, run_session_case_with_store, run_shared_define_case,
-    SessionCaseReport,
+    edit_stream_seed, run_nested_unit_case, run_session_case, run_session_case_with_store,
+    run_shared_define_case, SessionCaseReport,
 };
 pub use shrink::{shrink, Shrunk};
 
@@ -192,9 +192,11 @@ pub fn run_campaign(config: &FuzzConfig) -> Result<CampaignReport, String> {
                 config.store_dir.as_deref(),
             )?;
             let shared = session_fuzz::run_shared_define_case(case_seed)?;
+            let nested = session_fuzz::run_nested_unit_case(case_seed)?;
             report.session_cases += 1;
             report.session_case_seeds.push(case_seed);
-            report.session_mismatches += session.mismatches.len() + shared.mismatches.len();
+            report.session_mismatches +=
+                session.mismatches.len() + shared.mismatches.len() + nested.mismatches.len();
         }
 
         if config.race_every > 0 && (i + 1) % config.race_every == 0 {
@@ -231,6 +233,19 @@ mod tests {
     fn a_define_in_one_roots_include_block_matches_the_cold_run() {
         for seed in [1, 2, 3, 42, 4242] {
             let report = run_shared_define_case(seed).unwrap();
+            assert_eq!(report.edits, 4);
+            assert!(
+                report.mismatches.is_empty(),
+                "seed {seed}: {:?}",
+                report.mismatches
+            );
+        }
+    }
+
+    #[test]
+    fn edits_to_a_header_between_root_and_unit_match_the_cold_run() {
+        for seed in [1, 2, 3, 42, 4242] {
+            let report = run_nested_unit_case(seed).unwrap();
             assert_eq!(report.edits, 4);
             assert!(
                 report.mismatches.is_empty(),

@@ -15,7 +15,11 @@
 //! A second leg ([`run_shared_define_case`]) makes the driver a second
 //! TU root, so that the roots share the library header's include
 //! fragment, and defines the library's flag in one root's include block
-//! at a time: the fragment must miss for that root alone.
+//! at a time: the fragment must miss for that root alone. A third
+//! ([`run_nested_unit_case`]) has the main source reach the library
+//! through an intermediate `#pragma once` header, so that the library is
+//! a header unit nested in that header's fragment and shared with the
+//! driver's root, and edits the intermediate header.
 //!
 //! With a store dir attached, every step additionally simulates a
 //! process restart: a *fresh* session (fresh [`Store`] handle, empty
@@ -27,11 +31,15 @@
 use std::path::Path;
 use std::sync::Arc;
 
-use yalla_core::{Engine, Session, SubstitutionResult};
+use yalla_core::{Engine, Options, Session, SubstitutionResult};
 use yalla_corpus::gen::DetRng;
+use yalla_cpp::vfs::Vfs;
 use yalla_store::Store;
 
 use crate::grammar::{ProjectModel, UserStmt, DRIVER_SOURCE, LIB_HEADER, MAIN_SOURCE, WIDE_FLAG};
+
+/// The intermediate header of [`run_nested_unit_case`].
+const MID_HEADER: &str = "fz_mid.hpp";
 
 /// One warm-vs-cold mismatch.
 #[derive(Debug, Clone)]
@@ -216,33 +224,94 @@ pub fn run_shared_define_case(seed: u64) -> Result<SessionCaseReport, String> {
     model.wide_flag = Some(false);
     let (vfs, mut options) = model.render();
     options.tu_roots = vec![MAIN_SOURCE.to_string(), DRIVER_SOURCE.to_string()];
-    let text_of = |vfs: &yalla_cpp::vfs::Vfs, path: &str| {
+    let text_of = |vfs: &Vfs, path: &str| {
         vfs.lookup(path)
             .map(|id| vfs.text(id).to_string())
             .ok_or_else(|| format!("no `{path}` in the project"))
     };
     let (driver, main) = (text_of(&vfs, DRIVER_SOURCE)?, text_of(&vfs, MAIN_SOURCE)?);
-    let mut session = Session::with_store(options.clone(), vfs, None);
-    session.rerun().map_err(|e| format!("cold run: {e}"))?;
     model.wide_flag = Some(true);
     let steps = [
         (DRIVER_SOURCE, format!("#define {WIDE_FLAG} 1\n{driver}")),
         (MAIN_SOURCE, model.render_main()),
         (DRIVER_SOURCE, driver),
         (MAIN_SOURCE, main),
-    ];
+    ]
+    .map(|(path, text)| {
+        let defined = text.contains(&format!("#define {WIDE_FLAG}"));
+        let verb = if defined { "define" } else { "undefine" };
+        (path, text, format!("{verb} {WIDE_FLAG} in {path}"))
+    });
+    run_steps(&options, vfs, steps)
+}
+
+/// The nested-unit leg. The project generated from `seed` gets an
+/// intermediate `#pragma once` header between the main source and the
+/// library header, rewritten with the main source, and its driver as a
+/// second TU root that includes the library directly: the library header
+/// is then one header unit, built inside the intermediate header's
+/// include fragment and shared with the driver's root and the wrappers
+/// check. The leg edits the intermediate header (a comment, a new
+/// declaration, a define of the flag the library tests before its
+/// include, then the original text back). After every step the warm
+/// rerun must equal a cold engine run over the same files.
+///
+/// # Errors
+///
+/// Returns a diagnostic when the engine fails.
+pub fn run_nested_unit_case(seed: u64) -> Result<SessionCaseReport, String> {
+    let mut model = ProjectModel::generate(seed);
+    model.wide_flag = Some(false);
+    let (mut vfs, mut options) = model.render();
+    options.sources.push(MID_HEADER.to_string());
+    options.tu_roots = vec![MAIN_SOURCE.to_string(), DRIVER_SOURCE.to_string()];
+    let lib = format!("#include \"{LIB_HEADER}\"\n");
+    let mid = format!("#pragma once\n{lib}int fz_mid(int v);\n");
+    let main = model.render_main();
+    if !main.contains(&lib) {
+        return Err(format!("`{MAIN_SOURCE}` does not include `{LIB_HEADER}`"));
+    }
+    vfs.add_file(MID_HEADER, mid.clone());
+    vfs.add_file(
+        MAIN_SOURCE,
+        main.replacen(&lib, &format!("#include \"{MID_HEADER}\"\n"), 1),
+    );
+    let steps = [
+        (
+            format!("{mid}// edited\n"),
+            "append a comment to".to_string(),
+        ),
+        (
+            format!("{mid}int fz_mid2(int v);\n"),
+            "add a declaration to".to_string(),
+        ),
+        (
+            mid.replacen(&lib, &format!("#define {WIDE_FLAG} 1\n{lib}"), 1),
+            format!("define {WIDE_FLAG} before the library in"),
+        ),
+        (mid, "restore".to_string()),
+    ]
+    .map(|(text, what)| (MID_HEADER, text, format!("{what} {MID_HEADER}")));
+    run_steps(&options, vfs, steps)
+}
+
+/// Reruns a warm session over `vfs` after each `(path, text,
+/// description)` edit of `steps`, and reports where the rerun differs
+/// from a cold engine run over the same files.
+fn run_steps(
+    options: &Options,
+    vfs: Vfs,
+    steps: impl IntoIterator<Item = (&'static str, String, String)>,
+) -> Result<SessionCaseReport, String> {
+    let mut session = Session::with_store(options.clone(), vfs, None);
+    session.rerun().map_err(|e| format!("cold run: {e}"))?;
     let mut report = SessionCaseReport {
         edits: 0,
         edit_log: Vec::new(),
         mismatches: Vec::new(),
         touch_recomputes: 0,
     };
-    for (step, (path, text)) in steps.into_iter().enumerate() {
-        let defined = text.contains(&format!("#define {WIDE_FLAG}"));
-        let description = format!(
-            "{} {WIDE_FLAG} in {path}",
-            if defined { "define" } else { "undefine" }
-        );
+    for (step, (path, text, description)) in steps.into_iter().enumerate() {
         session.apply_edit(path, text).map_err(|e| e.to_string())?;
         let warm = session
             .rerun()
